@@ -30,7 +30,15 @@ DEFAULT_WORLD_POPULATION = 1_500_000_000.0
 
 
 class InterestCatalog:
-    """An immutable collection of :class:`Interest` objects."""
+    """An immutable collection of :class:`Interest` objects.
+
+    Popularity lookups (:meth:`rarest`, :meth:`most_popular`) and topic
+    lookups (:meth:`by_topic`, :meth:`topics`) are served from an audience
+    ordering and a topic index, each built once on first use.  Memoising
+    them is sound only because the catalog never changes after
+    construction; array accessors hand out copies so callers cannot
+    corrupt them.
+    """
 
     def __init__(self, interests: Iterable[Interest]) -> None:
         self._interests: dict[int, Interest] = {}
@@ -46,6 +54,8 @@ class InterestCatalog:
         self._audiences = np.array(
             [self._interests[i].audience_size for i in self._ids], dtype=np.int64
         )
+        self._by_audience: tuple[Interest, ...] | None = None
+        self._by_topic: dict[str, tuple[Interest, ...]] | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -114,10 +124,16 @@ class InterestCatalog:
         return self.get(interest_id).audience_size
 
     def audience_sizes(self, interest_ids: Sequence[int]) -> np.ndarray:
-        """Vector of audience sizes for a sequence of interest ids."""
-        return np.array(
-            [self.audience_size(int(i)) for i in interest_ids], dtype=np.int64
-        )
+        """Vector of audience sizes for a sequence of interest ids.
+
+        Raises :class:`UnknownInterestError` naming the first unknown id.
+        """
+        ids = np.asarray(interest_ids, dtype=np.int64)
+        positions = np.minimum(np.searchsorted(self._ids, ids), len(self._ids) - 1)
+        known = self._ids[positions] == ids
+        if not known.all():
+            raise UnknownInterestError(int(ids[np.argmin(known)]))
+        return self._audiences[positions]
 
     def all_audience_sizes(self) -> np.ndarray:
         """Audience sizes of every interest in id order."""
@@ -129,28 +145,49 @@ class InterestCatalog:
 
     # -- topic and sampling helpers -----------------------------------------
 
+    def _topic_index(self) -> dict[str, tuple[Interest, ...]]:
+        """Topic -> interests in id order (built in one pass, memoised)."""
+        if self._by_topic is None:
+            groups: dict[str, list[Interest]] = {}
+            for interest in self:
+                groups.setdefault(interest.topic, []).append(interest)
+            self._by_topic = {topic: tuple(group) for topic, group in groups.items()}
+        return self._by_topic
+
     def topics(self) -> tuple[str, ...]:
         """Topics present in the catalog, in taxonomy order."""
-        present = {interest.topic for interest in self}
+        present = self._topic_index()
         return tuple(topic for topic in TOPICS if topic in present)
 
     def by_topic(self, topic: str) -> tuple[Interest, ...]:
-        """All interests belonging to ``topic``."""
-        return tuple(interest for interest in self if interest.topic == topic)
+        """All interests belonging to ``topic``, in id order."""
+        return self._topic_index().get(topic, ())
+
+    def _audience_order(self) -> tuple[Interest, ...]:
+        """Interests by ascending audience, ties in id order (memoised)."""
+        if self._by_audience is None:
+            order = np.argsort(self._audiences, kind="stable")
+            self._by_audience = tuple(
+                self._interests[int(i)] for i in self._ids[order]
+            )
+        return self._by_audience
 
     def rarest(self, n: int) -> tuple[Interest, ...]:
         """The ``n`` interests with the smallest audiences."""
         if n < 0:
             raise CatalogError("n must be non-negative")
-        order = np.argsort(self._audiences, kind="stable")[:n]
-        return tuple(self._interests[int(self._ids[i])] for i in order)
+        return self._audience_order()[:n]
 
     def most_popular(self, n: int) -> tuple[Interest, ...]:
-        """The ``n`` interests with the largest audiences."""
+        """The ``n`` interests with the largest audiences.
+
+        The exact reverse of the :meth:`rarest` order, so tied audiences
+        come out highest id first.
+        """
         if n < 0:
             raise CatalogError("n must be non-negative")
-        order = np.argsort(self._audiences, kind="stable")[::-1][:n]
-        return tuple(self._interests[int(self._ids[i])] for i in order)
+        ordered = self._audience_order()
+        return ordered[len(ordered) - min(n, len(ordered)) :][::-1]
 
     def sample_ids(
         self,

@@ -73,6 +73,7 @@ from .errors import ConfigurationError, ReproError, ServiceError
 from .faults import FaultPlan, RetryPolicy, WallClockRetryPolicy
 from .pipeline import (
     Simulation,
+    assemble_simulation,
     build_catalog,
     build_panel,
     panel_fingerprint,
@@ -187,7 +188,7 @@ def cmd_nanotargeting(args: argparse.Namespace) -> int:
     """Run the nanotargeting experiment (Table 2)."""
     simulation = _build(args)
     experiment = simulation.nanotargeting_experiment(seed=args.seed)
-    report = experiment.run(candidates=simulation.panel.users)
+    report = experiment.run(experiment.select_panel_targets(simulation.panel))
     print(format_records(report.table_rows()))
     print(
         f"successful campaigns: {report.success_count}/{report.n_campaigns}  "
@@ -222,20 +223,26 @@ def cmd_fdvt_report(args: argparse.Namespace) -> int:
 
 
 def cmd_countermeasures(args: argparse.Namespace) -> int:
-    """Evaluate the Section 8.3 countermeasures."""
+    """Evaluate the Section 8.3 countermeasures.
+
+    The protected run shares the baseline's immutable catalog and panel
+    (no second build) but gets fresh run state from
+    :func:`assemble_simulation`: its own APIs, clocks, delivery engine and
+    click log, so the baseline's campaigns cannot leak into it.
+    """
     simulation = _build(args)
     experiment = simulation.nanotargeting_experiment(seed=args.seed)
-    targets = experiment.select_targets(simulation.panel.users)
+    targets = experiment.select_panel_targets(simulation.panel)
     baseline = experiment.run(targets)
 
-    protected_simulation = build_simulation(
-        simulation.config, seed=args.seed, panel_layout=getattr(args, "panel_layout", None)
+    protected_simulation = assemble_simulation(
+        simulation.config, simulation.catalog, simulation.panel, seed=args.seed
     )
     protected_experiment = protected_simulation.nanotargeting_experiment(seed=args.seed)
     protected = run_protected_experiment(
         protected_simulation.campaign_api,
         protected_simulation.delivery_engine,
-        [protected_simulation.panel.get(t.user_id) for t in targets],
+        targets,
         list(recommended_rules()),
         experiment=protected_experiment,
     )

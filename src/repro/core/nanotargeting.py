@@ -34,6 +34,7 @@ from ..delivery import (
     DeliveryOutcome,
 )
 from ..errors import CampaignRejectedError, ModelError
+from ..fdvt.panel import FDVTPanel
 from ..population.user import SyntheticUser
 
 
@@ -189,14 +190,17 @@ class NanotargetingExperiment:
 
     # -- planning -----------------------------------------------------------------
 
-    def select_targets(self, candidates: Sequence[SyntheticUser]) -> list[SyntheticUser]:
-        """Pick the targeted users (the "authors") among eligible candidates.
+    def select_target_rows(self, interest_counts: np.ndarray) -> np.ndarray:
+        """Rows of the targeted users (the "authors"), in ascending order.
 
-        A candidate is eligible when they carry at least as many interests
-        as the largest campaign size.
+        ``interest_counts[r]`` is candidate ``r``'s number of interests; a
+        candidate is eligible when they carry at least as many interests
+        as the largest campaign size.  The targets are drawn among the
+        eligible rows, in candidate order, with the experiment's
+        target-selection stream.
         """
         needed = max(self._config.interest_counts)
-        eligible = [user for user in candidates if user.interest_count >= needed]
+        eligible = np.flatnonzero(np.asarray(interest_counts) >= needed)
         if len(eligible) < self._config.n_targets:
             raise ModelError(
                 f"only {len(eligible)} candidates have >= {needed} interests; "
@@ -204,7 +208,18 @@ class NanotargetingExperiment:
             )
         rng = derive_generator(self._base_seed, "target-selection")
         indices = rng.choice(len(eligible), size=self._config.n_targets, replace=False)
-        return [eligible[int(i)] for i in sorted(indices)]
+        return eligible[np.sort(indices)]
+
+    def select_panel_targets(self, panel: FDVTPanel) -> list[SyntheticUser]:
+        """:meth:`select_target_rows` over ``panel``, materialising only the targets."""
+        rows = self.select_target_rows(panel.interests_per_user())
+        columns = panel.columns
+        return [columns.user_at(int(row)) for row in rows]
+
+    def select_targets(self, candidates: Sequence[SyntheticUser]) -> list[SyntheticUser]:
+        """:meth:`select_target_rows` over a sequence of user objects."""
+        counts = np.array([user.interest_count for user in candidates], dtype=np.int64)
+        return [candidates[int(row)] for row in self.select_target_rows(counts)]
 
     def plan_interest_sets(self, target: SyntheticUser) -> dict[int, tuple[int, ...]]:
         """Nested random interest subsets for one target (paper Section 5.1)."""

@@ -235,7 +235,7 @@ class NanotargetingStudy:
 
     def plan(self) -> tuple:
         """The targeted users, selected exactly like a direct run."""
-        return tuple(self._experiment.select_targets(self.simulation.panel.users))
+        return tuple(self._experiment.select_panel_targets(self.simulation.panel))
 
     def execute(self, executor: ShardExecutor | None = None) -> tuple:
         # Campaign delivery is inherently sequential (shared account, clock

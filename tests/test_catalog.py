@@ -191,6 +191,139 @@ class TestInterestCatalog:
         assert p25 <= p50 <= p75
 
 
+def _oracle_rarest(catalog: InterestCatalog, n: int) -> tuple[Interest, ...]:
+    """A fresh stable argsort per call: the catalog's unmemoised ordering."""
+    ids, audiences = catalog.interest_ids, catalog.all_audience_sizes()
+    order = np.argsort(audiences, kind="stable")[:n]
+    return tuple(catalog.get(int(ids[i])) for i in order)
+
+
+def _oracle_most_popular(catalog: InterestCatalog, n: int) -> tuple[Interest, ...]:
+    ids, audiences = catalog.interest_ids, catalog.all_audience_sizes()
+    order = np.argsort(audiences, kind="stable")[::-1][:n]
+    return tuple(catalog.get(int(ids[i])) for i in order)
+
+
+def _oracle_by_topic(catalog: InterestCatalog, topic: str) -> tuple[Interest, ...]:
+    """A full scan of the catalog per call."""
+    return tuple(interest for interest in catalog if interest.topic == topic)
+
+
+def _oracle_topics(catalog: InterestCatalog) -> tuple[str, ...]:
+    present = {interest.topic for interest in catalog}
+    return tuple(topic for topic in TOPICS if topic in present)
+
+
+class TestCatalogLookupParity:
+    """Memoised popularity and topic lookups against full-recompute oracles."""
+
+    @pytest.fixture(scope="class")
+    def tied_catalog(self) -> InterestCatalog:
+        """Sparse ids and heavy ties at both clip bounds and in between."""
+        config = CatalogConfig(
+            n_interests=1_500,
+            n_topics=7,
+            min_audience=5_000,
+            median_audience=20_000,
+            rare_tail_fraction=0.3,
+            seed=3,
+        )
+        generated = InterestCatalog.generate(config, world_population=200_000, seed=3)
+        rng = np.random.default_rng(4)
+        duplicated = rng.choice([5_000, 12_345, 70_000], size=len(generated))
+        interests = [
+            Interest(
+                interest_id=3 * interest.interest_id + 1,
+                name=interest.name,
+                topic=interest.topic,
+                audience_size=(
+                    int(duplicated[index]) if index % 4 == 0 else interest.audience_size
+                ),
+            )
+            for index, interest in enumerate(generated)
+        ]
+        rng.shuffle(interests)
+        return InterestCatalog(interests)
+
+    def test_catalog_is_tie_heavy(self, tied_catalog):
+        audiences = tied_catalog.all_audience_sizes()
+        _, counts = np.unique(audiences, return_counts=True)
+        assert (audiences == 5_000).sum() > 100
+        assert (audiences == audiences.max()).sum() > 10
+        assert counts.max() < len(audiences)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 250, 1_499, 1_500, 1_501, 10_000])
+    def test_rarest_and_most_popular_match_argsort(self, tied_catalog, n):
+        assert tied_catalog.rarest(n) == _oracle_rarest(tied_catalog, n)
+        assert tied_catalog.most_popular(n) == _oracle_most_popular(tied_catalog, n)
+
+    def test_ties_come_out_in_id_order_and_its_reverse(self, tied_catalog):
+        floor = [i for i in tied_catalog.rarest(len(tied_catalog)) if i.audience_size == 5_000]
+        floor_ids = [interest.interest_id for interest in floor]
+        assert floor_ids == sorted(floor_ids)
+        top = tied_catalog.most_popular(len(tied_catalog))
+        top_ids = [i.interest_id for i in top if i.audience_size == top[0].audience_size]
+        assert top_ids == sorted(top_ids, reverse=True)
+
+    def test_negative_n_rejected(self, tied_catalog):
+        with pytest.raises(CatalogError):
+            tied_catalog.rarest(-1)
+        with pytest.raises(CatalogError):
+            tied_catalog.most_popular(-1)
+
+    def test_by_topic_and_topics_match_full_scan(self, tied_catalog):
+        assert tied_catalog.topics() == _oracle_topics(tied_catalog)
+        for topic in TOPICS:
+            assert tied_catalog.by_topic(topic) == _oracle_by_topic(tied_catalog, topic)
+        assert tied_catalog.by_topic("Not a topic") == ()
+
+    def test_repeated_calls_return_equal_results(self, tied_catalog):
+        topic = tied_catalog.topics()[0]
+        first = (
+            tied_catalog.rarest(40),
+            tied_catalog.most_popular(40),
+            tied_catalog.by_topic(topic),
+            tied_catalog.topics(),
+        )
+        second = (
+            tied_catalog.rarest(40),
+            tied_catalog.most_popular(40),
+            tied_catalog.by_topic(topic),
+            tied_catalog.topics(),
+        )
+        assert first == second
+
+    def test_array_accessors_return_copies(self, tied_catalog):
+        expected = _oracle_most_popular(tied_catalog, 25)
+        tied_catalog.all_audience_sizes()[:] = 0
+        tied_catalog.interest_ids[:] = 0
+        assert tied_catalog.most_popular(25) == expected
+        assert tied_catalog.rarest(25) == _oracle_rarest(tied_catalog, 25)
+        assert tied_catalog.all_audience_sizes().max() > 0
+
+    def test_audience_sizes_matches_per_id_lookup(self, tied_catalog):
+        ids = np.random.default_rng(9).permutation(tied_catalog.interest_ids)[:300]
+        expected = [tied_catalog.audience_size(int(i)) for i in ids]
+        sizes = tied_catalog.audience_sizes(ids)
+        assert sizes.dtype == np.int64
+        assert sizes.tolist() == expected
+        assert tied_catalog.audience_sizes([]).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "ids, unknown",
+        [
+            ([1, 2, 4], 2),  # a gap between two sparse ids
+            ([4, 0, 10**9], 0),  # below the smallest id
+            ([1, 10**9, 5], 10**9),  # above the largest id
+        ],
+    )
+    def test_audience_sizes_names_the_first_unknown_id(self, tied_catalog, ids, unknown):
+        with pytest.raises(UnknownInterestError) as caught:
+            tied_catalog.audience_sizes(ids)
+        assert caught.value.interest_id == unknown
+        assert str(unknown) in str(caught.value)
+
+
 class TestFullScaleCatalogCalibration:
     """The full-scale catalog must reproduce the Figure 2 quartiles."""
 

@@ -3,10 +3,22 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+from repro import build_simulation, cli, quick_config
+from repro.cache import BuildCache
+from repro.campaigns import AdvertiserWorkloadGenerator
+from repro.catalog import InterestCatalog
 from repro.cli import build_parser, main
+from repro.countermeasures import (
+    evaluate_attack_protection,
+    evaluate_workload_impact,
+    recommended_rules,
+    run_protected_experiment,
+)
+from repro.fdvt import PanelBuilder
 from repro.exec import ShardExecutor
 from repro.scenarios import ScenarioSpec, SweepRunner, expand_grid
 
@@ -96,6 +108,74 @@ class TestCountermeasuresCommand:
         captured = capsys.readouterr().out
         assert "protected successes: 0/21" in captured
         assert "attack reduction" in captured
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_builds_once_and_matches_the_two_build_path(self, seed, capsys, monkeypatch):
+        argv = ["countermeasures", *FACTOR, "--seed", str(seed), "--workload-size", "60"]
+        # A private empty cache, so every stage is really built here (the
+        # process-global one may be warm from other tests or a disk root).
+        monkeypatch.setattr(cli, "build_cache", lambda: BuildCache())
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            InterestCatalog,
+            "generate",
+            staticmethod(counting("generate", InterestCatalog.generate)),
+        )
+        monkeypatch.setattr(
+            PanelBuilder,
+            "build_columns",
+            counting("build_columns", PanelBuilder.build_columns),
+        )
+        assert main(argv) == 0
+        assert calls == {"generate": 1, "build_columns": 1}
+        output = capsys.readouterr().out
+
+        _two_build_countermeasures(build_parser().parse_args(argv))
+        assert output == capsys.readouterr().out
+
+
+def _two_build_countermeasures(args) -> None:
+    """The countermeasures command with an independently built protected run.
+
+    The oracle for the command's shared-build path: targets are picked from
+    the baseline's materialised users and the protected simulation is built
+    from scratch, its targets looked up by id in its own panel.
+    """
+    config = quick_config(factor=args.factor)
+    simulation = build_simulation(config, seed=args.seed)
+    experiment = simulation.nanotargeting_experiment(seed=args.seed)
+    targets = experiment.select_targets(simulation.panel.users)
+    baseline = experiment.run(targets)
+    protected_simulation = build_simulation(config, seed=args.seed)
+    protected = run_protected_experiment(
+        protected_simulation.campaign_api,
+        protected_simulation.delivery_engine,
+        [protected_simulation.panel.get(t.user_id) for t in targets],
+        list(recommended_rules()),
+        experiment=protected_simulation.nanotargeting_experiment(seed=args.seed),
+    )
+    effectiveness = evaluate_attack_protection(baseline, protected)
+    workload = AdvertiserWorkloadGenerator(simulation.catalog).generate(
+        args.workload_size, seed=args.seed or 0
+    )
+    impact = evaluate_workload_impact(
+        simulation.campaign_api, workload, [recommended_rules()[0]]
+    )
+    print(f"baseline successes : {baseline.success_count}/{baseline.n_campaigns}")
+    print(f"protected successes: {protected.success_count}/{protected.n_campaigns}")
+    print(f"attack reduction   : {effectiveness.attack_reduction:.0%}")
+    print(
+        f"benign impact      : {impact.rejected_campaigns}/{impact.total_campaigns} "
+        f"campaigns rejected ({impact.rejection_rate:.2%})"
+    )
 
 
 def _spec_payload(**overrides) -> dict:

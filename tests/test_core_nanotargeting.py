@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro._rng import derive_generator
 from repro.adsapi import AdsManagerAPI
 from repro.config import ExperimentConfig, PlatformConfig
 from repro.core import NanotargetingExperiment, SuccessValidation
 from repro.delivery import ClickLog, DeliveryEngine
 from repro.errors import ModelError
+from repro.fdvt import FDVTPanel
 from repro.simclock import SimClock
 
 
@@ -80,6 +83,78 @@ class TestExperimentPlanning:
         experiment = NanotargetingExperiment(api, engine, ExperimentConfig(seed=3))
         with pytest.raises(ModelError):
             experiment.run()
+
+
+def _fresh_experiment(simulation, seed: int) -> NanotargetingExperiment:
+    api = AdsManagerAPI(
+        simulation.reach_model, platform=PlatformConfig.modern_2020(), clock=SimClock()
+    )
+    engine = DeliveryEngine(simulation.catalog, seed=seed)
+    return NanotargetingExperiment(
+        api, engine, ExperimentConfig(seed=seed), click_log=ClickLog(), seed=seed
+    )
+
+
+def _object_list_targets(experiment, candidates):
+    """Target selection over a list of user objects, written out in full."""
+    needed = max(experiment.config.interest_counts)
+    eligible = [user for user in candidates if user.interest_count >= needed]
+    if len(eligible) < experiment.config.n_targets:
+        raise ModelError(
+            f"only {len(eligible)} candidates have >= {needed} interests; "
+            f"{experiment.config.n_targets} targets are required"
+        )
+    rng = derive_generator(experiment._base_seed, "target-selection")
+    indices = rng.choice(len(eligible), size=experiment.config.n_targets, replace=False)
+    return [eligible[int(i)] for i in sorted(indices)]
+
+
+class TestRowIndexedTargetSelection:
+    """Selecting targets by panel row matches selecting among user objects."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 11, 42, 77])
+    def test_panel_rows_pick_the_object_list_targets(self, simulation, seed):
+        panel = simulation.panel
+        expected = _object_list_targets(_fresh_experiment(simulation, seed), panel.users)
+        experiment = _fresh_experiment(simulation, seed)
+        for candidates in (panel, FDVTPanel(panel.users, panel.catalog)):
+            targets = experiment.select_panel_targets(candidates)
+            assert [t.user_id for t in targets] == [t.user_id for t in expected]
+            assert [t.interest_ids for t in targets] == [t.interest_ids for t in expected]
+            assert targets == expected
+        assert experiment.select_targets(panel.users) == expected
+
+    def test_rows_are_ascending_eligible_panel_rows(self, simulation):
+        counts = simulation.panel.interests_per_user()
+        rows = _fresh_experiment(simulation, 5).select_target_rows(counts)
+        assert rows.tolist() == sorted(rows.tolist())
+        assert (counts[rows] >= 22).all()
+
+    def test_too_few_eligible_rows_raise_the_same_error(self, simulation):
+        panel = simulation.panel
+        counts = panel.interests_per_user()
+        rows = np.concatenate(
+            [np.flatnonzero(counts >= 22)[:2], np.flatnonzero(counts < 22)[:40]]
+        )
+        poor = FDVTPanel.from_columns(panel.columns.take(np.sort(rows)), panel.catalog)
+        experiment = _fresh_experiment(simulation, 3)
+        with pytest.raises(ModelError) as expected:
+            _object_list_targets(experiment, poor.users)
+        with pytest.raises(ModelError) as by_rows:
+            experiment.select_panel_targets(poor)
+        with pytest.raises(ModelError) as by_objects:
+            experiment.select_targets(poor.users)
+        assert str(by_rows.value) == str(by_objects.value) == str(expected.value)
+        assert "only 2 candidates" in str(by_rows.value)
+
+    def test_report_is_unchanged(self, simulation):
+        by_candidates = _fresh_experiment(simulation, 11).run(
+            candidates=simulation.panel.users
+        )
+        experiment = _fresh_experiment(simulation, 11)
+        by_rows = experiment.run(experiment.select_panel_targets(simulation.panel))
+        assert by_rows.table_rows() == by_candidates.table_rows()
+        assert by_rows.account_suspended == by_candidates.account_suspended
 
 
 class TestExperimentResults:
