@@ -33,9 +33,9 @@ the hot paths industrialised by the batched pipeline —
   into the CSR column store via the sharded generation path, then collected
   shard-by-shard and bootstrapped off the streamed accumulator — measuring
   build rate in users/s and peak memory via ``tracemalloc`` +
-  ``resource.getrusage``, with object-vs-columnar parity pinned at an
-  overlap scale; ``--scale-users 1000000`` is the million-user acceptance
-  run),
+  ``resource.getrusage``, with sharded-vs-serial build parity and the
+  ``PanelColumns.from_users`` round trip pinned at an overlap scale;
+  ``--scale-users 1000000`` is the million-user acceptance run),
 
 * the **assignment-rate stage** (the batched ``assign_rows`` interest
   kernel vs the per-user ``assign`` loop on one panel-shaped shard, outputs
@@ -98,6 +98,7 @@ from repro.population import (
     InterestAssigner,
     InterestCountModel,
     InterestShardTask,
+    PanelColumns,
     SyntheticUser,
     run_interest_shard,
     run_interest_shard_reference,
@@ -305,7 +306,7 @@ def _service_stage(simulation) -> dict:
 
 
 #: Scale-stage defaults: panellist count for the columnar build stage and
-#: the (small) overlap scale where object-vs-columnar parity is pinned.
+#: the (small) overlap scale where sharded-vs-serial build parity is pinned.
 SCALE_USERS = 50_000
 QUICK_SCALE_USERS = 5_000
 SCALE_PARITY_USERS = 1_000
@@ -433,9 +434,11 @@ def _scale_stage(scale_users: int, parity_users: int) -> dict:
     (sharded generation on a thread pool), collects the full users x 25
     matrix shard-by-shard, and bootstraps off the streamed accumulator —
     the end-to-end chain the columnar refactor keeps inside a bounded
-    footprint.  Parity against the object path is pinned at
-    ``parity_users`` (building two object-mode panels of the scale size
-    would defeat the point of the stage).
+    footprint.  Parity of the thread-sharded build against a serial
+    single-pass build (users, collected matrices, user ids) and the
+    ``PanelColumns.from_users`` round trip are pinned at ``parity_users``
+    (materialising user objects at the scale size would defeat the point
+    of the stage).
     """
     print(
         f"columnar scale stage ({scale_users:,} users, "
@@ -454,7 +457,6 @@ def _scale_stage(scale_users: int, parity_users: int) -> dict:
             config,
             seed=SCALE_SEED,
             catalog=catalog,
-            layout="columnar",
             executor=executor,
         ),
     )
@@ -508,41 +510,42 @@ def _scale_stage(scale_users: int, parity_users: int) -> dict:
 
     parity_config = _scale_config(parity_users)
     parity_executor = ShardExecutor(backend="thread", workers=2, shard_size=97)
-    object_sim = build_simulation(
-        parity_config, seed=SCALE_SEED, panel_layout="objects"
-    )
-    columnar_panel = build_panel(
+    serial_sim = build_simulation(parity_config, seed=SCALE_SEED)
+    sharded_panel = build_panel(
         parity_config,
         seed=SCALE_SEED,
-        catalog=object_sim.catalog,
-        layout="columnar",
+        catalog=serial_sim.catalog,
         executor=parity_executor,
     )
-    users_identical = object_sim.panel.users == columnar_panel.users
-    object_samples = AudienceSizeCollector(
-        object_sim.uniqueness_api,
-        object_sim.panel,
+    users_identical = serial_sim.panel.users == sharded_panel.users
+    round_trip_ok = PanelColumns.from_users(sharded_panel.users).content_equals(
+        sharded_panel.columns
+    )
+    serial_samples = AudienceSizeCollector(
+        serial_sim.uniqueness_api,
+        serial_sim.panel,
         max_interests=25,
         locations=locations,
     ).collect(strategy)
-    columnar_samples = AudienceSizeCollector(
+    sharded_samples = AudienceSizeCollector(
         AdsManagerAPI(
-            object_sim.reach_model,
+            serial_sim.reach_model,
             platform=PlatformConfig.legacy_2017(),
             clock=SimClock(),
         ),
-        columnar_panel,
+        sharded_panel,
         max_interests=25,
         locations=locations,
     ).collect(strategy)
     parity_ok = bool(
         users_identical
+        and round_trip_ok
         and np.array_equal(
-            object_samples.matrix, columnar_samples.matrix, equal_nan=True
+            serial_samples.matrix, sharded_samples.matrix, equal_nan=True
         )
-        and object_samples.user_ids == columnar_samples.user_ids
+        and serial_samples.user_ids == sharded_samples.user_ids
     )
-    print(f"  object-vs-columnar parity at overlap scale: {parity_ok}")
+    print(f"  sharded-vs-serial build parity at overlap scale: {parity_ok}")
 
     return {
         "users": scale_users,

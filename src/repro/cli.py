@@ -45,7 +45,9 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from . import PANEL_LAYOUTS, build_simulation, default_config, quick_config
+import numpy as np
+
+from . import build_simulation, default_config, quick_config
 from .analysis import format_records, format_table
 from .cache import (
     BuildCache,
@@ -69,7 +71,7 @@ from .io import (
 from ._rng import derive_seed
 from .adsapi import AdsManagerAPI
 from .config import PlatformConfig
-from .errors import ConfigurationError, ReproError, ServiceError
+from .errors import ConfigurationError, PanelError, ReproError, ServiceError
 from .faults import FaultPlan, RetryPolicy, WallClockRetryPolicy
 from .pipeline import (
     Simulation,
@@ -110,12 +112,7 @@ def _build(args: argparse.Namespace) -> Simulation:
     # The process-global cache carries a disk tier when REPRO_CACHE_ROOT
     # is set, so repeat (and warmed) CLI runs hydrate the catalog/panel
     # stages from disk; results are bit-identical either way.
-    return build_simulation(
-        config,
-        seed=args.seed,
-        cache=build_cache(),
-        panel_layout=getattr(args, "panel_layout", None),
-    )
+    return build_simulation(config, seed=args.seed, cache=build_cache())
 
 
 def _executor_from_args(simulation: Simulation, args: argparse.Namespace):
@@ -203,13 +200,20 @@ def cmd_fdvt_report(args: argparse.Namespace) -> int:
     """Print the interest-risk report of one panellist (Figure 7)."""
     simulation = _build(args)
     extension = simulation.fdvt_extension()
+    panel = simulation.panel
     if args.user_id is not None:
-        user = simulation.panel.get(args.user_id)
+        user = panel.get(args.user_id)
     else:
-        user = next(
-            u for u in sorted(simulation.panel.users, key=lambda u: u.interest_count)
-            if u.interest_count >= args.min_interests
-        )
+        # The panellist with the fewest interests >= --min-interests,
+        # lowest row on ties; only that row is materialised.
+        counts = panel.interests_per_user()
+        eligible = np.flatnonzero(counts >= args.min_interests)
+        if eligible.size == 0:
+            raise PanelError(
+                f"no panellist has at least {args.min_interests} interests "
+                f"(the most is {int(counts.max())})"
+            )
+        user = panel.columns.user_at(int(eligible[np.argmin(counts[eligible])]))
     report = extension.build_risk_report(user)
     rows = [
         [entry.name[:48], entry.risk.value, entry.audience_size]
@@ -779,16 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="scale divisor applied to the paper-scale configuration (1 = full scale)",
         )
         sub.add_argument("--seed", type=int, default=None, help="override the default seeds")
-        sub.add_argument(
-            "--panel-layout",
-            choices=PANEL_LAYOUTS,
-            default=None,
-            help=(
-                "panel storage layout (default: columnar, or the "
-                "REPRO_PANEL_LAYOUT environment variable); content is "
-                "bit-identical either way"
-            ),
-        )
 
     def add_exec(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(

@@ -24,7 +24,6 @@ from .selection import (
     RandomSelection,
     SelectionStrategy,
     nested_subsets,
-    ordered_interest_matrix,
     pad_id_rows,
 )
 from .uniqueness import UniquenessModel
@@ -60,7 +59,6 @@ __all__ = [
     "fit_vas_many",
     "masked_column_quantiles",
     "nested_subsets",
-    "ordered_interest_matrix",
     "pad_id_rows",
     "percentile_interval",
     "probability_to_percentile",

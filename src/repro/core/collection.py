@@ -10,8 +10,9 @@ machinery.
 Three entry points produce bit-identical matrices and tiers of throughput:
 
 * ``mode="panel"`` (the default, and the supported bulk path) resolves the
-  whole panel's strategy ordering into one padded id matrix
-  (:func:`~repro.core.selection.ordered_interest_matrix`) and issues a
+  whole panel's strategy ordering into one padded id matrix straight off
+  the panel's CSR store
+  (:func:`~repro.core.selection.ordered_interest_matrix_columns`) and issues a
   single spec-free :meth:`AdsManagerAPI.estimate_reach_matrix` call — the
   users × N measurement becomes a handful of array sweeps with no per-user
   Python round-trip;
@@ -46,17 +47,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..adsapi import AdsManagerAPI, CallBill, TargetingSpec
-from ..errors import ModelError, PanelError
+from ..errors import ModelError
 from ..exec import ShardExecutor
 from ..exec.plan import Shard
 from ..exec.tasks import ReachShardTask, run_reach_shard, shard_backend_payload
 from ..fdvt.panel import FDVTPanel
 from .quantiles import AudienceSamples
-from .selection import (
-    SelectionStrategy,
-    ordered_interest_matrix,
-    ordered_interest_matrix_columns,
-)
+from .selection import SelectionStrategy, ordered_interest_matrix_columns
 
 #: Collection tiers, fastest first.
 COLLECT_MODES = ("panel", "batch", "scalar")
@@ -106,7 +103,6 @@ class AudienceSizeCollector:
         strategy: SelectionStrategy,
         *,
         mode: str | None = None,
-        batch: bool | None = None,
     ) -> AudienceSamples:
         """Collect the full audience-size matrix for one selection strategy.
 
@@ -114,14 +110,8 @@ class AudienceSizeCollector:
         to combinations of ``k + 1`` interests; entries are ``NaN`` when the
         user has fewer interests than the column requires.  ``mode`` picks
         the collection tier (``"panel"`` by default — see the module
-        docstring); all tiers return bit-identical matrices.  The legacy
-        ``batch`` flag maps ``True``/``False`` to the per-user batch and
-        scalar tiers.
+        docstring); all tiers return bit-identical matrices.
         """
-        if batch is not None:
-            if mode is not None:
-                raise ModelError("pass either mode or the legacy batch flag, not both")
-            mode = "batch" if batch else "scalar"
         mode = mode or "panel"
         if mode not in COLLECT_MODES:
             raise ModelError(f"unknown collection mode: {mode!r}")
@@ -291,33 +281,19 @@ class AudienceSizeCollector:
 
     def _user_ids(self) -> tuple[int, ...]:
         """Panel user ids in row order, without materialising user objects."""
-        if self._panel.has_columns:
-            return tuple(self._panel.columns.user_ids.tolist())
-        return tuple(user.user_id for user in self._panel)
+        return tuple(self._panel.columns.user_ids.tolist())
 
     def _ordered_matrix(
         self, strategy: SelectionStrategy, start: int, stop: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Ordered id matrix for panel rows ``[start, stop)``, layout-aware.
-
-        Column-backed panels feed the kernel input straight from the CSR
-        store; object panels keep the user-tuple path.  Both orderings are
-        bit-identical (pinned by the columnar parity suite).
-        """
-        if self._panel.has_columns:
-            return ordered_interest_matrix_columns(
-                strategy,
-                self._panel.columns,
-                self._panel.catalog,
-                self._max_interests,
-                start,
-                stop,
-            )
-        return ordered_interest_matrix(
+        """Ordered id matrix for panel rows ``[start, stop)``, off the CSR store."""
+        return ordered_interest_matrix_columns(
             strategy,
-            self._panel.users[start:stop],
+            self._panel.columns,
             self._panel.catalog,
             self._max_interests,
+            start,
+            stop,
         )
 
     def _plan_shard_jobs(
@@ -369,45 +345,28 @@ class AudienceSizeCollector:
     ) -> AudienceSamples:
         """Collect the matrix for a subset of panel users (demographic groups).
 
-        Users are resolved through the panel's id index (no full-panel scan)
-        and rows follow the caller's requested order, with duplicate ids
-        collapsed to their first occurrence and unknown ids ignored.  On a
-        column-backed panel the sub-panel is a row gather on the CSR store
-        — no user objects are materialised.
+        Rows follow the caller's requested order, with duplicate ids
+        collapsed to their first occurrence and unknown ids ignored.  The
+        sub-panel is a row gather on the CSR store — no user objects are
+        materialised.
         """
-        if self._panel.has_columns:
-            columns = self._panel.columns
-            row_of = {uid: row for row, uid in enumerate(columns.user_ids.tolist())}
-            rows: list[int] = []
-            seen: set[int] = set()
-            for user_id in user_ids:
-                user_id = int(user_id)
-                if user_id in seen:
-                    continue
-                seen.add(user_id)
-                row = row_of.get(user_id)
-                if row is not None:
-                    rows.append(row)
-            if not rows:
-                raise ModelError("no panel users match the requested ids")
-            sub_panel = FDVTPanel.from_columns(
-                columns.take(np.array(rows, dtype=np.int64)), self._panel.catalog
-            )
-        else:
-            users = []
-            seen = set()
-            for user_id in user_ids:
-                user_id = int(user_id)
-                if user_id in seen:
-                    continue
-                seen.add(user_id)
-                try:
-                    users.append(self._panel.get(user_id))
-                except PanelError:
-                    continue
-            if not users:
-                raise ModelError("no panel users match the requested ids")
-            sub_panel = self._panel.subset(users)
+        columns = self._panel.columns
+        row_of = {uid: row for row, uid in enumerate(columns.user_ids.tolist())}
+        rows: list[int] = []
+        seen: set[int] = set()
+        for user_id in user_ids:
+            user_id = int(user_id)
+            if user_id in seen:
+                continue
+            seen.add(user_id)
+            row = row_of.get(user_id)
+            if row is not None:
+                rows.append(row)
+        if not rows:
+            raise ModelError("no panel users match the requested ids")
+        sub_panel = FDVTPanel.from_columns(
+            columns.take(np.array(rows, dtype=np.int64)), self._panel.catalog
+        )
         collector = AudienceSizeCollector(
             self._api,
             sub_panel,

@@ -15,21 +15,16 @@ prefixes are the combinations evaluated for each ``N``; this mirrors the
 paper's construction, where interests are added one by one ("we keep adding
 the following least popular interests sequentially one by one").
 
-For panel-scale collection, :func:`ordered_interest_matrix` resolves every
-user's ordered ids into one padded ``(n_users, width)`` id matrix.  A
-strategy may provide a vectorised ``order_interests_matrix`` (the
-least-popular strategy orders all users in a single global sort over
-id-indexed catalog popularity arrays); otherwise the per-user
-``order_interests`` is looped, so any strategy is panel-capable and every
-row is bit-identical to the scalar ordering either way.
-
-Columnar panels skip the user objects entirely:
-:func:`ordered_interest_matrix_columns` reads a row range straight out of a
-:class:`~repro.population.columnar.PanelColumns` CSR store.  The
-least-popular core is shared flat-array code either way, and the random
-strategy shuffles each CSR row slice with the same per-user-id stream the
-object path derives, so the produced matrices are bit-identical across
-layouts.
+For panel-scale collection, :func:`ordered_interest_matrix_columns`
+resolves the ordered ids of a row range of a
+:class:`~repro.population.columnar.PanelColumns` CSR store into one padded
+``(n_users, width)`` id matrix, straight off the CSR arrays.  The
+least-popular strategy orders every row in a single global sort over
+id-indexed catalog popularity arrays; the random strategy shuffles each
+CSR row slice with the per-user-id stream its scalar ordering derives; any
+other strategy gets its rows materialised one by one and looped through
+``order_interests``, so every strategy is panel-capable and every row is
+bit-identical to the scalar ordering.
 """
 
 from __future__ import annotations
@@ -74,33 +69,6 @@ class LeastPopularSelection:
         audiences.sort()
         return tuple(interest_id for _, interest_id in audiences[:max_interests])
 
-    def order_interests_matrix(
-        self,
-        users: Sequence[SyntheticUser],
-        catalog: InterestCatalog,
-        max_interests: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`order_interests` over a whole panel.
-
-        All users' interest ids are resolved against the catalog's
-        id-indexed audience array with one ``searchsorted`` and ordered with
-        one global ``lexsort`` keyed ``(row, audience, id)`` — the same
-        ``(audience, id)`` ascending order the scalar tuple sort produces,
-        so every row is bit-identical to the per-user path.  Returns the
-        padded id matrix and per-user counts (see
-        :func:`ordered_interest_matrix` for the layout).
-        """
-        if max_interests < 1:
-            raise ModelError("max_interests must be >= 1")
-        full_counts = np.array([user.interest_count for user in users], dtype=np.int64)
-        total = int(full_counts.sum())
-        flat_ids = np.fromiter(
-            (i for user in users for i in user.interest_ids),
-            dtype=np.int64,
-            count=total,
-        )
-        return _order_least_popular_flat(flat_ids, full_counts, catalog, max_interests)
-
     def order_interests_matrix_columns(
         self,
         columns: PanelColumns,
@@ -109,11 +77,14 @@ class LeastPopularSelection:
         start: int = 0,
         stop: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised ordering over rows ``[start, stop)`` of a CSR store.
+        """Vectorised :meth:`order_interests` over CSR rows ``[start, stop)``.
 
         The flat id fragment and per-row lengths come straight off the CSR
-        arrays — no user objects — and feed the same global-sort core as
-        :meth:`order_interests_matrix`.
+        arrays — no user objects.  Every id is resolved against the
+        catalog's id-indexed audience array with one ``searchsorted`` and
+        ordered with one global ``lexsort`` keyed ``(row, audience, id)`` —
+        the same ``(audience, id)`` ascending order the scalar tuple sort
+        produces, so every row is bit-identical to the per-user path.
         """
         if max_interests < 1:
             raise ModelError("max_interests must be >= 1")
@@ -122,7 +93,18 @@ class LeastPopularSelection:
             columns.indptr[start] : columns.indptr[stop]
         ].astype(np.int64)
         full_counts = np.diff(columns.indptr[start : stop + 1])
-        return _order_least_popular_flat(flat_ids, full_counts, catalog, max_interests)
+        sorted_ids = catalog.interest_ids
+        positions = np.searchsorted(sorted_ids, flat_ids)
+        positions = np.minimum(positions, len(sorted_ids) - 1)
+        mismatched = sorted_ids[positions] != flat_ids
+        if mismatched.any():
+            # Defer to the scalar path's error for the first offending id.
+            catalog.get(int(flat_ids[np.argmax(mismatched)]))
+        flat_audiences = catalog.all_audience_sizes()[positions]
+        row_index = np.repeat(np.arange(len(full_counts)), full_counts)
+        order = np.lexsort((flat_ids, flat_audiences, row_index))
+        counts = np.minimum(full_counts, max_interests)
+        return _pack_ordered_rows(flat_ids[order], full_counts, counts)
 
 
 class RandomSelection:
@@ -162,7 +144,7 @@ class RandomSelection:
 
         Each row's slice is copied to int64 and shuffled with the stream
         derived from its user id — the draw sequence depends only on the
-        row length, so it matches the object path's list shuffle exactly.
+        row length, so it matches :meth:`order_interests` exactly.
         """
         if max_interests < 1:
             raise ModelError("max_interests must be >= 1")
@@ -181,34 +163,6 @@ class RandomSelection:
             np.concatenate(flat_parts) if flat_parts else np.zeros(0, dtype=np.int64)
         )
         return _pack_ordered_rows(flat_sorted, full_counts, counts)
-
-
-def _order_least_popular_flat(
-    flat_ids: np.ndarray,
-    full_counts: np.ndarray,
-    catalog: InterestCatalog,
-    max_interests: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Global least-popular sort of concatenated per-user id segments.
-
-    The shared core of both least-popular bulk paths: resolve every id
-    against the catalog's id-indexed audience array with one
-    ``searchsorted``, order with one ``lexsort`` keyed ``(row, audience,
-    id)``, and pack the leading ``max_interests`` of each segment.
-    """
-    sorted_ids = catalog.interest_ids
-    positions = np.searchsorted(sorted_ids, flat_ids)
-    positions = np.minimum(positions, len(sorted_ids) - 1)
-    mismatched = sorted_ids[positions] != flat_ids
-    if mismatched.any():
-        # Defer to the scalar path's error for the first offending id.
-        catalog.get(int(flat_ids[np.argmax(mismatched)]))
-    flat_audiences = catalog.all_audience_sizes()[positions]
-    row_index = np.repeat(np.arange(len(full_counts)), full_counts)
-    order = np.lexsort((flat_ids, flat_audiences, row_index))
-    flat_sorted = flat_ids[order]
-    counts = np.minimum(full_counts, max_interests)
-    return _pack_ordered_rows(flat_sorted, full_counts, counts)
 
 
 def _pack_ordered_rows(
@@ -237,10 +191,10 @@ def pad_id_rows(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(id_matrix, counts)`` in the convention every bulk kernel
     consumes (``-1`` padding, ``width = max(counts)``; see
-    :func:`ordered_interest_matrix`).  This is the entry point for callers
-    whose rows are already ordered — the countermeasure workload evaluation
-    and the nanotargeting planner — so the padding convention lives in one
-    place.
+    :func:`ordered_interest_matrix_columns`).  This is the entry point for
+    callers whose rows are already ordered — the countermeasure workload
+    evaluation, the nanotargeting planner and strategies without a CSR
+    hook — so the padding convention lives in one place.
     """
     counts = np.array([len(row) for row in rows], dtype=np.int64)
     flat = np.fromiter(
@@ -251,40 +205,6 @@ def pad_id_rows(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     return _pack_ordered_rows(flat, counts, counts)
 
 
-def ordered_interest_matrix(
-    strategy: SelectionStrategy,
-    users: Sequence[SyntheticUser],
-    catalog: InterestCatalog,
-    max_interests: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered interest ids of every user as one padded id matrix.
-
-    Returns ``(id_matrix, counts)`` where ``id_matrix`` is a
-    ``(n_users, width)`` int64 matrix (``width = max(counts)``, capped at
-    ``max_interests``), row ``u`` holds
-    ``strategy.order_interests(users[u], catalog, max_interests)`` in its
-    first ``counts[u]`` cells and ``-1`` padding beyond.  Strategies with a
-    vectorised ``order_interests_matrix`` (least popular) resolve the whole
-    panel in one pass; other strategies fall back to looping the scalar
-    ordering — rows are bit-identical either way.
-    """
-    if max_interests < 1:
-        raise ModelError("max_interests must be >= 1")
-    panel_order = getattr(strategy, "order_interests_matrix", None)
-    if panel_order is not None:
-        return panel_order(users, catalog, max_interests)
-    ordered_rows = [
-        strategy.order_interests(user, catalog, max_interests) for user in users
-    ]
-    counts = np.array([len(row) for row in ordered_rows], dtype=np.int64)
-    flat_sorted = np.fromiter(
-        (i for row in ordered_rows for i in row),
-        dtype=np.int64,
-        count=int(counts.sum()),
-    )
-    return _pack_ordered_rows(flat_sorted, counts, counts)
-
-
 def ordered_interest_matrix_columns(
     strategy: SelectionStrategy,
     columns: PanelColumns,
@@ -293,13 +213,16 @@ def ordered_interest_matrix_columns(
     start: int = 0,
     stop: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered id matrix for rows ``[start, stop)`` of a CSR store.
+    """Ordered interest ids of rows ``[start, stop)`` as one padded id matrix.
 
-    The columnar counterpart of :func:`ordered_interest_matrix`: built-in
-    strategies consume the CSR slice directly via
+    Returns ``(id_matrix, counts)`` where ``id_matrix`` is a
+    ``(n_rows, width)`` int64 matrix (``width = max(counts)``, capped at
+    ``max_interests``), row ``u`` holds
+    ``strategy.order_interests(columns.user_at(start + u), catalog,
+    max_interests)`` in its first ``counts[u]`` cells and ``-1`` padding
+    beyond.  Built-in strategies consume the CSR slice directly via
     ``order_interests_matrix_columns``; a strategy without that hook gets
-    its protocol users materialised row by row and the result is identical
-    (the per-row orderings do not depend on the storage layout).
+    its rows materialised one by one — rows are bit-identical either way.
     """
     if max_interests < 1:
         raise ModelError("max_interests must be >= 1")
@@ -307,17 +230,12 @@ def ordered_interest_matrix_columns(
     column_order = getattr(strategy, "order_interests_matrix_columns", None)
     if column_order is not None:
         return column_order(columns, catalog, max_interests, start, stop)
-    ordered_rows = [
-        strategy.order_interests(columns.user_at(row), catalog, max_interests)
-        for row in range(start, stop)
-    ]
-    counts = np.array([len(row) for row in ordered_rows], dtype=np.int64)
-    flat_sorted = np.fromiter(
-        (i for row in ordered_rows for i in row),
-        dtype=np.int64,
-        count=int(counts.sum()),
+    return pad_id_rows(
+        [
+            strategy.order_interests(columns.user_at(row), catalog, max_interests)
+            for row in range(start, stop)
+        ]
     )
-    return _pack_ordered_rows(flat_sorted, counts, counts)
 
 
 def nested_subsets(

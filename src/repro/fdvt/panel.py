@@ -17,15 +17,12 @@ Demographic groups receive slightly different popularity biases so that the
 directional differences of Appendix C (women, adolescents and Argentinian
 users need more random interests to become unique) emerge from the data.
 
-The panel has two storage modes with one API.  The object mode wraps a
-tuple of :class:`SyntheticUser`; the columnar mode
-(:meth:`FDVTPanel.from_columns`, built by :meth:`PanelBuilder.build_columns`)
-wraps a :class:`~repro.population.columnar.PanelColumns` store, computes
-every dataset statistic as an array sweep, cuts demographic sub-panels by
-boolean mask, and only materialises user objects when a legacy accessor
-(:attr:`FDVTPanel.users`, iteration, :meth:`FDVTPanel.get`) asks for them.
-Both modes hold bit-identical content for the same seed — the builders
-consume identical RNG streams, and the columnar mode's interest shards run
+The panel is a thin view over a
+:class:`~repro.population.columnar.PanelColumns` store, built by
+:meth:`PanelBuilder.build_columns`: every dataset statistic is an array
+sweep, demographic sub-panels are boolean-mask row gathers, and user
+objects are materialised only at the I/O edges (:attr:`FDVTPanel.users`,
+iteration, :meth:`FDVTPanel.get`).  The builder's interest shards run
 through the batched
 :meth:`~repro.population.assignment.InterestAssigner.assign_rows` kernel
 (see :mod:`repro.population.generation`'s stream contract for the per-row
@@ -34,7 +31,7 @@ draw order the kernel preserves).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -92,14 +89,14 @@ class FDVTPanel:
     """A collection of synthetic FDVT panellists."""
 
     def __init__(self, users: Iterable[SyntheticUser], catalog: InterestCatalog) -> None:
-        self._users: tuple[SyntheticUser, ...] | None = tuple(users)
-        if not self._users:
+        users = tuple(users)
+        if not users:
             raise PanelError("a panel must contain at least one user")
-        self._catalog = catalog
-        if len({user.user_id for user in self._users}) != len(self._users):
+        if len({user.user_id for user in users}) != len(users):
             raise PanelError("panel user ids must be unique")
-        self._columns: PanelColumns | None = None
-        self._by_id: dict[int, SyntheticUser] | None = None
+        self._columns = PanelColumns.from_users(users)
+        self._catalog = catalog
+        self._users: tuple[SyntheticUser, ...] | None = None
 
     @classmethod
     def from_columns(cls, columns: PanelColumns, catalog: InterestCatalog) -> "FDVTPanel":
@@ -107,63 +104,36 @@ class FDVTPanel:
         if len(columns) == 0:
             raise PanelError("a panel must contain at least one user")
         panel = cls.__new__(cls)
-        panel._users = None
-        panel._catalog = catalog
         panel._columns = columns
-        panel._by_id = None
+        panel._catalog = catalog
+        panel._users = None
         return panel
-
-    # -- columnar core ------------------------------------------------------------
 
     @property
     def columns(self) -> PanelColumns:
-        """The columnar store backing this panel (built lazily)."""
-        if self._columns is None:
-            self._columns = PanelColumns.from_users(self._users)  # type: ignore[arg-type]
+        """The columnar store backing this panel."""
         return self._columns
-
-    @property
-    def has_columns(self) -> bool:
-        """True when the columnar store has been realised already.
-
-        Collection paths use this to choose the CSR fast path without
-        forcing an object-mode panel to pay the one-off encode.
-        """
-        return self._columns is not None
 
     # -- container protocol ------------------------------------------------------
 
     def __len__(self) -> int:
-        if self._users is not None:
-            return len(self._users)
-        return len(self.columns)
+        return len(self._columns)
 
     def __iter__(self) -> Iterator[SyntheticUser]:
         return iter(self.users)
 
     def get(self, user_id: int) -> SyntheticUser:
-        """Return the panellist with ``user_id`` or raise.
-
-        Column-backed panels materialise only the requested row; the dict
-        index is built lazily once users exist as objects anyway.
-        """
-        if self._by_id is None and self._users is not None:
-            self._by_id = {user.user_id: user for user in self._users}
-        if self._by_id is not None:
-            try:
-                return self._by_id[user_id]
-            except KeyError:
-                raise PanelError(f"unknown panel user id: {user_id}") from None
-        rows = np.flatnonzero(self.columns.user_ids == int(user_id))
+        """Return the panellist with ``user_id`` or raise (one row materialised)."""
+        rows = np.flatnonzero(self._columns.user_ids == int(user_id))
         if rows.size == 0:
             raise PanelError(f"unknown panel user id: {user_id}")
-        return self.columns.user_at(int(rows[0]))
+        return self._columns.user_at(int(rows[0]))
 
     @property
     def users(self) -> tuple[SyntheticUser, ...]:
-        """All panellists (materialised on first access on columnar panels)."""
+        """All panellists (materialised on first access)."""
         if self._users is None:
-            self._users = self.columns.to_users()
+            self._users = self._columns.to_users()
         return self._users
 
     @property
@@ -198,10 +168,6 @@ class FDVTPanel:
         }
 
     # -- demographic subsets ---------------------------------------------------------
-
-    def subset(self, users: Sequence[SyntheticUser]) -> "FDVTPanel":
-        """Build a sub-panel from a subset of users."""
-        return FDVTPanel(users, self._catalog)
 
     def _view(self, mask: np.ndarray) -> "FDVTPanel":
         if not mask.any():
@@ -260,58 +226,15 @@ class PanelBuilder:
         """The panel configuration in use."""
         return self._config
 
-    def build(self, seed: SeedLike = None) -> FDVTPanel:
-        """Build the panel deterministically from ``seed`` (object path)."""
-        config = self._config
-        base_seed = self._resolve_seed(seed)
-        codes, country_index = self._assign_country_index(config.n_users, base_seed)
-        gender_index = self._assign_gender_index(config, base_seed)
-        age_group_index = self._assign_age_group_index(config, base_seed)
-        counts = self._count_model().sample(
-            config.n_users, derive_generator(base_seed, "panel-interest-counts")
-        )
-        base_bias = _bias_table(codes)[gender_index, age_group_index, country_index]
-
-        task = InterestShardTask(
-            assigner=self._assigner,
-            base_seed=base_seed,
-            seed_key="panel-user",
-            start=0,
-            stop=config.n_users,
-            counts=counts,
-            topics_per_user=self._topics_per_user,
-            age_group_index=age_group_index,
-            base_bias=base_bias,
-            bias_jitter=float(config.popularity_bias_jitter),
-        )
-        flat_ids, row_counts, ages = run_interest_shard(task)
-        users = []
-        cursor = 0
-        for index in range(config.n_users):
-            stop = cursor + int(row_counts[index])
-            age = int(ages[index])  # type: ignore[index]
-            users.append(
-                SyntheticUser(
-                    user_id=index,
-                    country=codes[country_index[index]],
-                    gender=GENDER_TABLE[gender_index[index]],
-                    age=None if age < 0 else age,
-                    interest_ids=tuple(int(i) for i in flat_ids[cursor:stop]),
-                )
-            )
-            cursor = stop
-        return FDVTPanel(users, self._catalog)
-
     def build_columns(
         self, seed: SeedLike = None, *, executor: ShardExecutor | None = None
     ) -> FDVTPanel:
-        """Build the panel as a columnar store (no user objects).
+        """Build the panel deterministically from ``seed`` (no user objects).
 
-        Bit-identical to :meth:`build` for the same seed.  ``executor``
-        shards the per-user assignment stage over contiguous row ranges
-        (serial by default); every backend, worker count and shard size
-        produces the same columns, because each row re-derives its own
-        ``derive_generator(base_seed, "panel-user", index)`` stream.
+        ``executor`` shards the per-user assignment stage over contiguous
+        row ranges (serial by default); every backend, worker count and
+        shard size produces the same columns, because each row re-derives
+        its own ``derive_generator(base_seed, "panel-user", index)`` stream.
         """
         config = self._config
         base_seed = self._resolve_seed(seed)

@@ -148,9 +148,8 @@ class PanelArtifactCodec:
     Decoding needs the catalog the panel was assigned from — the panel
     fingerprint already pins the catalog stage, so binding the resolved
     catalog here is safe — and returns an
-    :meth:`~repro.fdvt.panel.FDVTPanel.from_columns` view: columnar
-    regardless of the layout that originally built it (the cache key is
-    layout-free and both layouts hold bit-identical content).
+    :meth:`~repro.fdvt.panel.FDVTPanel.from_columns` view of the decoded
+    store.
     """
 
     catalog: InterestCatalog

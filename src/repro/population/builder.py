@@ -1,22 +1,18 @@
 """Builder for the agent-based scaled population.
 
-Two build paths produce bit-identical users from the same seed:
+:meth:`PopulationBuilder.build_columns` keeps the whole-array demographic
+stages as arrays, fans the per-user interest assignment out over
+contiguous row shards (:mod:`repro.exec`) and assembles a
+:class:`~repro.population.columnar.PanelColumns` store directly — no user
+objects, and the same columns for any backend, worker count or shard size.
 
-* :meth:`PopulationBuilder.build` — the object path, one
-  :class:`SyntheticUser` per agent;
-* :meth:`PopulationBuilder.build_columns` — the columnar path, which keeps
-  the whole-array demographic stages as arrays, fans the per-user interest
-  assignment out over contiguous row shards (:mod:`repro.exec`) and
-  assembles a :class:`~repro.population.columnar.PanelColumns` store
-  directly — no user objects, any backend/worker count/shard size.
-
-Both consume identical RNG streams: demographics and interest counts are
-single whole-array draws, and each user's assignment re-derives
-``derive_generator(base_seed, "user", index)``, which depends only on the
-row index.  The columnar path's shards run through the batched
-:meth:`~repro.population.assignment.InterestAssigner.assign_rows` kernel
-(see :mod:`repro.population.generation`'s stream contract), pinned
-bit-identical to the per-user loop by ``tests/test_assignment_kernel.py``.
+Demographics and interest counts are single whole-array draws, and each
+user's assignment re-derives ``derive_generator(base_seed, "user",
+index)``, which depends only on the row index.  Shards run through the
+batched :meth:`~repro.population.assignment.InterestAssigner.assign_rows`
+kernel (see :mod:`repro.population.generation`'s stream contract), pinned
+bit-identical to the per-user reference loop by
+``tests/test_assignment_kernel.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from ..exec import ShardExecutor
 from ..reach.countries import TOP_50_COUNTRIES
 from .assignment import InterestAssigner
 from .columnar import PanelColumns
-from .demographics import GENDER_TABLE, sample_ages, sample_gender_index
+from .demographics import sample_ages, sample_gender_index
 from .generation import (
     InterestShardTask,
     assigner_shard_payload,
@@ -39,7 +35,6 @@ from .generation import (
 )
 from .population import Population
 from .sampling import InterestCountModel
-from .user import SyntheticUser
 
 
 class PopulationBuilder:
@@ -67,50 +62,14 @@ class PopulationBuilder:
         """The population configuration in use."""
         return self._config
 
-    def build(self, seed: SeedLike = None) -> Population:
-        """Build the population deterministically from ``seed`` (object path)."""
-        config = self._config
-        base_seed = self._resolve_seed(seed)
-        codes, country_index = self._sample_country_index(config.n_agents, base_seed)
-        gender_index = sample_gender_index(
-            config.n_agents, derive_generator(base_seed, "genders")
-        )
-        ages = sample_ages(config.n_agents, derive_generator(base_seed, "ages"))
-        counts = self._count_model().sample(
-            config.n_agents, derive_generator(base_seed, "interest-counts")
-        )
-
-        users = []
-        for index in range(config.n_agents):
-            user_rng = derive_generator(base_seed, "user", index)
-            preferred = self._assigner.sample_preferred_topics(
-                config.topics_per_user, user_rng
-            )
-            interests = self._assigner.assign(
-                int(counts[index]), user_rng, preferred_topics=preferred
-            )
-            users.append(
-                SyntheticUser(
-                    user_id=index,
-                    # Decode at the object-bridge boundary only; sampling
-                    # works on the int index column.
-                    country=codes[country_index[index]],
-                    gender=GENDER_TABLE[gender_index[index]],
-                    age=int(ages[index]),
-                    interest_ids=interests,
-                )
-            )
-        return Population(users, scale_factor=config.scale_factor)
-
     def build_columns(
         self, seed: SeedLike = None, *, executor: ShardExecutor | None = None
     ) -> Population:
-        """Build the population as a columnar store (no user objects).
+        """Build the population deterministically from ``seed`` (no user objects).
 
-        Bit-identical to :meth:`build` for the same seed — see the module
-        docstring.  ``executor`` shards the per-user assignment stage over
-        contiguous row ranges (serial by default); every backend, worker
-        count and shard size produces the same columns.
+        ``executor`` shards the per-user assignment stage over contiguous
+        row ranges (serial by default); every backend, worker count and
+        shard size produces the same columns.
         """
         config = self._config
         base_seed = self._resolve_seed(seed)
@@ -182,11 +141,7 @@ class PopulationBuilder:
     def _sample_country_index(
         self, n: int, base_seed: int
     ) -> tuple[tuple[str, ...], np.ndarray]:
-        """Sample country assignments as ``(code_table, int16 index array)``.
-
-        Codes are decoded from the table only at the object-bridge boundary
-        (:meth:`build`); the columnar path stores the index column as-is.
-        """
+        """Sample country assignments as ``(code_table, int16 index array)``."""
         if n < 0:
             raise PopulationError("n must be non-negative")
         rng = derive_generator(base_seed, "countries")

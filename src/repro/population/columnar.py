@@ -22,7 +22,8 @@ Interest sets use a CSR (compressed sparse row) layout:
 
 * ``indptr: int64[n + 1]`` — row ``u``'s interests live at
   ``interest_ids[indptr[u]:indptr[u + 1]]``, in assignment order (the
-  same order the object path stores on ``SyntheticUser.interest_ids``);
+  order :meth:`PanelColumns.user_at` decodes into
+  ``SyntheticUser.interest_ids``);
 * ``interest_ids: int32[nnz]`` — all rows concatenated.
 
 Total footprint is ``13 bytes/user + 4 bytes/interest-occurrence``: a
@@ -35,10 +36,9 @@ Bridge contract
 ---------------
 ``PanelColumns.from_users(users)`` and ``columns.to_users()`` are exact
 inverses: round-tripping reproduces the same ``SyntheticUser`` tuples
-bit-for-bit (ids, countries, genders, ages, interest order).  Builders
-guarantee the stronger property that ``build_columns(seed)`` decodes to
-exactly what ``build(seed)`` constructs, because both paths consume the
-same per-user RNG streams (see :mod:`repro.population.generation`).
+bit-for-bit (ids, countries, genders, ages, interest order).  The bridge
+is used only at the I/O edges: builders assemble columns directly (see
+:mod:`repro.population.generation`).
 """
 
 from __future__ import annotations
@@ -301,7 +301,7 @@ class PanelColumns:
         """True when both stores decode to identical user sequences.
 
         Compares decoded content (country *codes*, not table indices), so
-        stores built through different paths — object bridge vs. columnar
+        stores built through different paths — object bridge vs.
         builders — compare equal exactly when their users are equal.
         """
         if len(self) != len(other):

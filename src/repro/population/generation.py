@@ -1,13 +1,13 @@
 """Sharded, bit-identical generation of columnar user panels.
 
-The object builders (:meth:`~repro.population.builder.PopulationBuilder.build`,
-:meth:`~repro.fdvt.panel.PanelBuilder.build`) draw demographics and interest
-counts as whole-array operations, then loop users, deriving one
+The builders (:meth:`~repro.population.builder.PopulationBuilder.build_columns`,
+:meth:`~repro.fdvt.panel.PanelBuilder.build_columns`) draw demographics and
+interest counts as whole-array operations, then derive one
 ``derive_generator(base_seed, key, index)`` per user for the interest
-assignment.  Because every user's stream is derived independently of the
-loop, the per-user work is embarrassingly parallel *and* partition-free:
-any contiguous shard of rows reproduces exactly the draws the object path
-makes for those rows.
+assignment.  Because every user's stream is derived independently of its
+neighbours, the per-user work is embarrassingly parallel *and*
+partition-free: any contiguous shard of rows reproduces exactly the draws
+a single pass over all rows makes for those rows.
 
 :class:`InterestShardTask` packages one such shard as a picklable unit of
 work for a :class:`~repro.exec.runner.ShardRunner` — the same machinery the
@@ -27,8 +27,8 @@ Stream contract
 ---------------
 
 Every row owns one ``derive_generator(base_seed, seed_key, row)`` stream,
-consumed in exactly this order — the invariant every execution path
-(object builders, scalar reference, batched kernel) must preserve:
+consumed in exactly this order — the invariant both execution paths
+(per-user reference loop, batched kernel) must preserve:
 
 1. **age draw** — panel path only (``age_group_index`` present): one
    ``rng.integers`` draw via :func:`~repro.population.demographics.sample_age`
@@ -276,9 +276,9 @@ def run_interest_shard(
 
     ``flat_ids`` is the shard's CSR fragment (``int32``), ``row_counts``
     the per-row lengths, and ``ages`` the sampled ``int16`` ages (``None``
-    when the task carries no age groups).  Bit-identical to the object
-    builders: each per-user stream is consumed in exactly the documented
-    order (see the module docstring's stream contract) — stages 1–3 row by
+    when the task carries no age groups).  Bit-identical to
+    :func:`run_interest_shard_reference`: each per-user stream is consumed
+    in exactly the documented order (see the module docstring's stream contract) — stages 1–3 row by
     row, stage 4 through the batched
     :meth:`~repro.population.assignment.InterestAssigner.assign_rows`
     kernel.  Assigner payloads without the batch API (test doubles) fall

@@ -9,15 +9,11 @@ filtering, floors) against exact ground truth.
 Each agent represents ``scale_factor`` real users, so reported audience
 sizes are ``count * scale_factor``.
 
-Since the columnar refactor the population is a thin view over a
+The population is a thin view over a
 :class:`~repro.population.columnar.PanelColumns` store: audience queries
 run as array sweeps over the CSR interest layout and the demographic
-columns (``np.isin`` membership + boolean masks) instead of dict-of-set
-intersections, and a population built from columns
-(:meth:`Population.from_columns`) never materialises user objects unless a
-legacy accessor (``users``, ``get``, iteration) asks for them.  The
-dict-of-set indexes of the original implementation survive only as lazy
-caches behind those legacy accessors.
+columns (``np.isin`` membership + boolean masks), and user objects are
+materialised only at the I/O edges (``users``, ``get``, iteration).
 """
 
 from __future__ import annotations
@@ -38,95 +34,63 @@ class Population:
     """A collection of synthetic users with fast audience counting."""
 
     def __init__(self, users: Iterable[SyntheticUser], *, scale_factor: float = 1.0) -> None:
-        materialised = tuple(users)
-        if not materialised:
+        users = tuple(users)
+        if not users:
             raise PopulationError("a population must contain at least one user")
         if scale_factor <= 0:
             raise PopulationError("scale_factor must be positive")
-        ids = [user.user_id for user in materialised]
+        ids = [user.user_id for user in users]
         if len(set(ids)) != len(ids):
             raise PopulationError("user ids must be unique within a population")
         self._scale_factor = float(scale_factor)
-        self._users: tuple[SyntheticUser, ...] | None = materialised
-        self._columns: PanelColumns | None = None
-        self._by_id: dict[int, SyntheticUser] | None = None
+        self._columns = PanelColumns.from_users(users)
+        self._users: tuple[SyntheticUser, ...] | None = None
 
     @classmethod
     def from_columns(
         cls, columns: PanelColumns, *, scale_factor: float = 1.0
     ) -> "Population":
-        """A population viewing ``columns`` directly — no user objects built.
-
-        User objects stay unmaterialised until a legacy accessor
-        (:attr:`users`, :meth:`get`, iteration) asks for them; every
-        audience query runs on the columns.
-        """
+        """A population viewing ``columns`` directly — no user objects built."""
         if len(columns) == 0:
             raise PopulationError("a population must contain at least one user")
         if scale_factor <= 0:
             raise PopulationError("scale_factor must be positive")
         population = cls.__new__(cls)
         population._scale_factor = float(scale_factor)
-        population._users = None
         population._columns = columns
-        population._by_id = None
+        population._users = None
         return population
-
-    # -- columnar core ---------------------------------------------------------
 
     @property
     def columns(self) -> PanelColumns:
-        """The columnar store backing this population (built lazily)."""
-        if self._columns is None:
-            self._columns = PanelColumns.from_users(self._users)  # type: ignore[arg-type]
+        """The columnar store backing this population."""
         return self._columns
-
-    @property
-    def has_columns(self) -> bool:
-        """True when the columnar store has been realised already."""
-        return self._columns is not None
 
     # -- container protocol ----------------------------------------------------
 
     def __len__(self) -> int:
-        if self._users is not None:
-            return len(self._users)
-        return len(self.columns)
+        return len(self._columns)
 
     def __iter__(self) -> Iterator[SyntheticUser]:
         return iter(self.users)
 
     def __contains__(self, user_id: object) -> bool:
-        if self._by_id is not None:
-            return user_id in self._by_id
         if not isinstance(user_id, (int, np.integer)):
             return False
-        return bool(np.any(self.columns.user_ids == int(user_id)))
+        return bool(np.any(self._columns.user_ids == int(user_id)))
 
     def get(self, user_id: int) -> SyntheticUser:
-        """Return the user with ``user_id`` or raise.
-
-        On a column-backed population the first call materialises only the
-        requested row; the dict index is built lazily from the full user
-        tuple only when objects were already materialised anyway.
-        """
-        if self._by_id is None and self._users is not None:
-            self._by_id = {user.user_id: user for user in self._users}
-        if self._by_id is not None:
-            try:
-                return self._by_id[user_id]
-            except KeyError:
-                raise PopulationError(f"unknown user id: {user_id}") from None
-        rows = np.flatnonzero(self.columns.user_ids == int(user_id))
+        """Return the user with ``user_id`` or raise (one row materialised)."""
+        rows = np.flatnonzero(self._columns.user_ids == int(user_id))
         if rows.size == 0:
             raise PopulationError(f"unknown user id: {user_id}")
-        return self.columns.user_at(int(rows[0]))
+        return self._columns.user_at(int(rows[0]))
 
     @property
     def users(self) -> tuple[SyntheticUser, ...]:
         """All users, in insertion order (materialised on first access)."""
         if self._users is None:
-            self._users = self.columns.to_users()
+            self._users = self._columns.to_users()
         return self._users
 
     @property

@@ -94,7 +94,7 @@ def tiny_panel(tiny_catalog) -> FDVTPanel:
         seed=11,
     )
     assigner = InterestAssigner(tiny_catalog)
-    return PanelBuilder(tiny_catalog, config, assigner=assigner).build(seed=11)
+    return PanelBuilder(tiny_catalog, config, assigner=assigner).build_columns(seed=11)
 
 
 @pytest.fixture()

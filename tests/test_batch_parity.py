@@ -196,7 +196,7 @@ class TestCollectorParity:
         batched = AudienceSizeCollector(fresh_api(), simulation.panel, **kwargs)
         scalar = AudienceSizeCollector(fresh_api(), simulation.panel, **kwargs)
         batched_samples = batched.collect(strategy)
-        scalar_samples = scalar.collect(strategy, batch=False)
+        scalar_samples = scalar.collect(strategy, mode="scalar")
         assert np.array_equal(
             batched_samples.matrix, scalar_samples.matrix, equal_nan=True
         )

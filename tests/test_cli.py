@@ -100,6 +100,34 @@ class TestFdvtReportCommand:
         assert "risk breakdown" in captured
         assert "panel user #" in captured
 
+    def test_default_pick_is_the_fewest_interests_at_or_above_min(self, capsys):
+        panel = build_simulation(quick_config(factor=80), seed=3).panel
+        counts = Counter(user.interest_count for user in panel.users)
+        # A count shared by several panellists exercises the tie rule.
+        minimum = min((c for c, n in counts.items() if n > 1), default=min(counts))
+        expected = next(
+            u for u in sorted(panel.users, key=lambda u: u.interest_count)
+            if u.interest_count >= minimum
+        )
+        exit_code = main(
+            ["fdvt-report", *FACTOR, "--seed", "3", "--min-interests", str(minimum)]
+        )
+        assert exit_code == 0
+        first_line = capsys.readouterr().out.splitlines()[0]
+        assert first_line == (
+            f"panel user #{expected.user_id} ({expected.country}), "
+            f"{expected.interest_count} interests"
+        )
+
+    def test_no_qualifying_panellist_exits_3(self, capsys):
+        exit_code = main(
+            ["fdvt-report", *FACTOR, "--seed", "3", "--min-interests", "100000000"]
+        )
+        assert exit_code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("repro-facebook: PanelError: no panellist has at least")
+
 
 class TestCountermeasuresCommand:
     def test_reports_attack_reduction(self, capsys):

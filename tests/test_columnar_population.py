@@ -1,12 +1,14 @@
 """Columnar population/panel parity suite.
 
-Pins the contract of the columnar refactor: the CSR-backed
-:class:`~repro.population.columnar.PanelColumns` store, the sharded
-columnar builders (:meth:`PopulationBuilder.build_columns`,
-:meth:`PanelBuilder.build_columns`) and the array-native query/collection
-paths are *bit-identical* to the original object implementations — same
-users, same audience counts, same collection matrices, same ``CallStats``,
-same bootstrap cutpoints — for every execution backend and shard size.
+Pins the contract of the CSR-backed
+:class:`~repro.population.columnar.PanelColumns` store and the sharded
+builders (:meth:`PopulationBuilder.build_columns`,
+:meth:`PanelBuilder.build_columns`): their batched assignment kernel is
+*bit-identical* to an independent oracle — the same builders driven by an
+assigner double without ``assign_rows``, which routes every shard through
+the per-user :func:`~repro.population.run_interest_shard_reference` loop —
+with the same users, audience counts, collection matrices, ``CallStats``
+and bootstrap cutpoints, for every execution backend and shard size.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import os
 import numpy as np
 import pytest
 
-from repro import build_panel, build_simulation, resolve_panel_layout
 from repro.adsapi import AdsManagerAPI
 from repro.config import PanelConfig, PlatformConfig, PopulationConfig, UniquenessConfig
 from repro.core import (
@@ -26,7 +27,7 @@ from repro.core import (
     RandomSelection,
     bootstrap_cutpoints,
 )
-from repro.errors import ConfigurationError, PanelError, PopulationError
+from repro.errors import PanelError, PopulationError
 from repro.exec import ShardExecutor, drain
 from repro.fdvt import FDVTPanel, PanelBuilder
 from repro.population import (
@@ -52,6 +53,25 @@ def _users_for_columns() -> list[SyntheticUser]:
         SyntheticUser(4, "US", Gender.UNDISCLOSED, 70, ()),
         SyntheticUser(9, "AR", Gender.FEMALE, 13, (5, 4, 1)),
     ]
+
+
+class _ReferenceAssigner:
+    """An assigner double without ``assign_rows``.
+
+    Builders fed this double generate every shard through the per-user
+    :func:`~repro.population.run_interest_shard_reference` loop instead of
+    the batched kernel — the independent oracle the parity tests pin the
+    production builders against.
+    """
+
+    def __init__(self, assigner: InterestAssigner) -> None:
+        self._assigner = assigner
+
+    def sample_preferred_topics(self, n, rng):
+        return self._assigner.sample_preferred_topics(n, rng)
+
+    def assign(self, *args, **kwargs):
+        return self._assigner.assign(*args, **kwargs)
 
 
 class TestPanelColumns:
@@ -114,20 +134,24 @@ class TestPanelColumns:
         assert columns.nbytes == 4 * (8 + 2 + 1 + 2 + 8) + 8 + 7 * 4
 
 
+_POPULATION_CONFIG = PopulationConfig(
+    n_agents=150,
+    median_interests_per_user=25.0,
+    max_interests_per_user=120,
+    scale_factor=3.5,
+)
+
+
 @pytest.fixture(scope="module")
 def population_builder(tiny_catalog) -> PopulationBuilder:
-    config = PopulationConfig(
-        n_agents=150,
-        median_interests_per_user=25.0,
-        max_interests_per_user=120,
-        scale_factor=3.5,
-    )
-    return PopulationBuilder(tiny_catalog, config)
+    return PopulationBuilder(tiny_catalog, _POPULATION_CONFIG)
 
 
 @pytest.fixture(scope="module")
-def object_population(population_builder) -> Population:
-    return population_builder.build(seed=17)
+def reference_population(tiny_catalog) -> Population:
+    assigner = _ReferenceAssigner(InterestAssigner(tiny_catalog))
+    builder = PopulationBuilder(tiny_catalog, _POPULATION_CONFIG, assigner=assigner)
+    return builder.build_columns(seed=17)
 
 
 @pytest.fixture(scope="module")
@@ -136,61 +160,61 @@ def columnar_population(population_builder) -> Population:
 
 
 class TestPopulationParity:
-    def test_users_bit_identical(self, object_population, columnar_population):
-        assert columnar_population.users == object_population.users
+    def test_users_bit_identical(self, reference_population, columnar_population):
+        assert columnar_population.users == reference_population.users
 
-    def test_audience_queries_match(self, object_population, columnar_population):
-        probe = object_population.users[0].interest_ids[:3]
+    def test_audience_queries_match(self, reference_population, columnar_population):
+        probe = reference_population.users[0].interest_ids[:3]
         for combine in ("and", "or"):
-            assert object_population.matching_user_ids(
+            assert reference_population.matching_user_ids(
                 probe, combine=combine
             ) == columnar_population.matching_user_ids(probe, combine=combine)
-            assert object_population.agent_count(
+            assert reference_population.agent_count(
                 probe, combine=combine
             ) == columnar_population.agent_count(probe, combine=combine)
-        assert object_population.audience_size(probe) == columnar_population.audience_size(probe)
+        assert reference_population.audience_size(probe) == columnar_population.audience_size(probe)
         assert (
-            object_population.interest_audiences()
+            reference_population.interest_audiences()
             == columnar_population.interest_audiences()
         )
-        assert object_population.countries == columnar_population.countries
+        assert reference_population.countries == columnar_population.countries
 
-    def test_demographic_filters_match(self, object_population, columnar_population):
-        assert object_population.matching_user_ids(
+    def test_demographic_filters_match(self, reference_population, columnar_population):
+        assert reference_population.matching_user_ids(
             genders=(Gender.FEMALE,), age_groups=(AgeGroup.EARLY_ADULTHOOD,)
         ) == columnar_population.matching_user_ids(
             genders=(Gender.FEMALE,), age_groups=(AgeGroup.EARLY_ADULTHOOD,)
         )
-        country = object_population.users[0].country
+        country = reference_population.users[0].country
         assert (
-            object_population.by_country(country).users
+            reference_population.by_country(country).users
             == columnar_population.by_country(country).users
         )
         assert (
-            object_population.by_gender(Gender.MALE).users
+            reference_population.by_gender(Gender.MALE).users
             == columnar_population.by_gender(Gender.MALE).users
         )
 
-    def test_location_filter_matches(self, object_population, columnar_population):
-        country = object_population.users[3].country
-        probe = object_population.users[3].interest_ids[:1]
-        assert object_population.matching_user_ids(
+    def test_location_filter_matches(self, reference_population, columnar_population):
+        country = reference_population.users[3].country
+        probe = reference_population.users[3].interest_ids[:1]
+        assert reference_population.matching_user_ids(
             probe, (country,)
         ) == columnar_population.matching_user_ids(probe, (country,))
         # Unknown locations match nobody, worldwide matches everybody.
         assert columnar_population.matching_user_ids(probe, ("XX",)) == set()
-        assert object_population.matching_user_ids(
+        assert reference_population.matching_user_ids(
             probe, ("worldwide",)
         ) == columnar_population.matching_user_ids(probe, ("worldwide",))
 
-    def test_subset_and_get_match(self, object_population, columnar_population):
-        wanted = [u.user_id for u in object_population.users[:7]]
+    def test_subset_and_get_match(self, reference_population, columnar_population):
+        wanted = [u.user_id for u in reference_population.users[:7]]
         assert (
-            object_population.subset(wanted).users
+            reference_population.subset(wanted).users
             == columnar_population.subset(wanted).users
         )
         uid = wanted[3]
-        assert columnar_population.get(uid) == object_population.get(uid)
+        assert columnar_population.get(uid) == reference_population.get(uid)
         assert uid in columnar_population
         with pytest.raises(PopulationError, match="unknown user id"):
             columnar_population.get(10**9)
@@ -222,28 +246,35 @@ class TestPopulationParity:
             assert produced.content_equals(reference)
 
 
+_PANEL_CONFIG = PanelConfig(
+    n_users=90,
+    n_men=60,
+    n_women=24,
+    n_gender_undisclosed=6,
+    n_adolescents=12,
+    n_early_adults=48,
+    n_adults=21,
+    n_matures=3,
+    n_age_undisclosed=6,
+    median_interests_per_user=40.0,
+    max_interests_per_user=200,
+    seed=13,
+)
+
+
 @pytest.fixture(scope="module")
 def panel_builder(tiny_catalog) -> PanelBuilder:
-    config = PanelConfig(
-        n_users=90,
-        n_men=60,
-        n_women=24,
-        n_gender_undisclosed=6,
-        n_adolescents=12,
-        n_early_adults=48,
-        n_adults=21,
-        n_matures=3,
-        n_age_undisclosed=6,
-        median_interests_per_user=40.0,
-        max_interests_per_user=200,
-        seed=13,
+    return PanelBuilder(
+        tiny_catalog, _PANEL_CONFIG, assigner=InterestAssigner(tiny_catalog)
     )
-    return PanelBuilder(tiny_catalog, config, assigner=InterestAssigner(tiny_catalog))
 
 
 @pytest.fixture(scope="module")
-def object_panel(panel_builder) -> FDVTPanel:
-    return panel_builder.build(seed=13)
+def reference_panel(tiny_catalog) -> FDVTPanel:
+    assigner = _ReferenceAssigner(InterestAssigner(tiny_catalog))
+    return PanelBuilder(tiny_catalog, _PANEL_CONFIG, assigner=assigner).build_columns(
+        seed=13
+    )
 
 
 @pytest.fixture(scope="module")
@@ -252,34 +283,34 @@ def columnar_panel(panel_builder) -> FDVTPanel:
 
 
 class TestPanelParity:
-    def test_users_bit_identical(self, object_panel, columnar_panel):
-        assert columnar_panel.users == object_panel.users
+    def test_users_bit_identical(self, reference_panel, columnar_panel):
+        assert columnar_panel.users == reference_panel.users
 
-    def test_statistics_match(self, object_panel, columnar_panel):
+    def test_statistics_match(self, reference_panel, columnar_panel):
         assert np.array_equal(
-            object_panel.interests_per_user(), columnar_panel.interests_per_user()
+            reference_panel.interests_per_user(), columnar_panel.interests_per_user()
         )
         assert np.array_equal(
-            object_panel.unique_interest_ids(), columnar_panel.unique_interest_ids()
+            reference_panel.unique_interest_ids(), columnar_panel.unique_interest_ids()
         )
         assert (
-            object_panel.total_interest_occurrences()
+            reference_panel.total_interest_occurrences()
             == columnar_panel.total_interest_occurrences()
         )
-        assert object_panel.country_counts() == columnar_panel.country_counts()
+        assert reference_panel.country_counts() == columnar_panel.country_counts()
 
-    def test_demographic_subsets_match(self, object_panel, columnar_panel):
+    def test_demographic_subsets_match(self, reference_panel, columnar_panel):
         assert (
-            object_panel.by_gender(Gender.FEMALE).users
+            reference_panel.by_gender(Gender.FEMALE).users
             == columnar_panel.by_gender(Gender.FEMALE).users
         )
         assert (
-            object_panel.by_age_group(AgeGroup.ADOLESCENCE).users
+            reference_panel.by_age_group(AgeGroup.ADOLESCENCE).users
             == columnar_panel.by_age_group(AgeGroup.ADOLESCENCE).users
         )
-        country = object_panel.users[0].country
+        country = reference_panel.users[0].country
         assert (
-            object_panel.by_country(country).users
+            reference_panel.by_country(country).users
             == columnar_panel.by_country(country).users
         )
         with pytest.raises(PanelError):
@@ -293,8 +324,8 @@ class TestPanelParity:
         with pytest.raises(PanelError, match="unknown panel user id"):
             panel.get(10**9)
 
-    def test_backend_and_shard_size_invariance(self, panel_builder, object_panel):
-        reference = object_panel.users
+    def test_backend_and_shard_size_invariance(self, panel_builder, reference_panel):
+        reference = reference_panel.users
         for backend, workers, shard_size in (("serial", 1, 11), ("thread", 4, 32)):
             executor = ShardExecutor(
                 backend=backend, workers=workers, shard_size=shard_size
@@ -316,7 +347,7 @@ def parity_reach_model(tiny_catalog):
 
 
 class TestCollectionParity:
-    """Collection matrices and CallStats across layouts, tiers and backends."""
+    """Collection matrices and CallStats across tiers and backends."""
 
     def _api(self, parity_reach_model) -> AdsManagerAPI:
         return AdsManagerAPI(
@@ -342,7 +373,7 @@ class TestCollectionParity:
 
     @pytest.mark.parametrize("strategy_name", ["least_popular", "random"])
     def test_matrices_and_call_stats_match(
-        self, parity_reach_model, object_panel, columnar_panel, strategy_name
+        self, parity_reach_model, reference_panel, columnar_panel, strategy_name
     ):
         strategy = (
             LeastPopularSelection()
@@ -350,7 +381,7 @@ class TestCollectionParity:
             else RandomSelection(seed=99)
         )
         reference, reference_stats = self._collect(
-            parity_reach_model, object_panel, strategy
+            parity_reach_model, reference_panel, strategy
         )
         for kwargs in (
             {},
@@ -369,13 +400,13 @@ class TestCollectionParity:
             assert stats[1] == pytest.approx(reference_stats[1], abs=1e-3)
 
     def test_collect_for_users_matches(
-        self, parity_reach_model, object_panel, columnar_panel
+        self, parity_reach_model, reference_panel, columnar_panel
     ):
         strategy = LeastPopularSelection()
-        wanted = [u.user_id for u in object_panel.users[10:30]] + [10**9, 10]
+        wanted = [u.user_id for u in reference_panel.users[10:30]] + [10**9, 10]
         reference = AudienceSizeCollector(
             self._api(parity_reach_model),
-            object_panel,
+            reference_panel,
             max_interests=10,
             locations=country_codes(),
         ).collect_for_users(strategy, wanted)
@@ -389,10 +420,10 @@ class TestCollectionParity:
         assert columnar.user_ids == reference.user_ids
 
     def test_bootstrap_cutpoints_match(
-        self, parity_reach_model, object_panel, columnar_panel
+        self, parity_reach_model, reference_panel, columnar_panel
     ):
         strategy = RandomSelection(seed=5)
-        reference, _ = self._collect(parity_reach_model, object_panel, strategy)
+        reference, _ = self._collect(parity_reach_model, reference_panel, strategy)
         streamed, _ = self._collect(
             parity_reach_model, columnar_panel, strategy, stream=True
         )
@@ -407,11 +438,11 @@ class TestCollectionParity:
 
     @pytest.mark.slow
     def test_process_backend_matches(
-        self, parity_reach_model, object_panel, columnar_panel
+        self, parity_reach_model, reference_panel, columnar_panel
     ):
         strategy = LeastPopularSelection()
         reference, reference_stats = self._collect(
-            parity_reach_model, object_panel, strategy
+            parity_reach_model, reference_panel, strategy
         )
         executor = ShardExecutor(backend="process", workers=2, shard_size=31)
         samples, stats = self._collect(
@@ -442,74 +473,61 @@ def test_process_backend_generation_matches(tiny_catalog):
     assert produced.content_equals(reference)
 
 
-class TestPipelineLayout:
-    def test_resolve_layout_env_and_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PANEL_LAYOUT", raising=False)
-        assert resolve_panel_layout() == "columnar"
-        monkeypatch.setenv("REPRO_PANEL_LAYOUT", "objects")
-        assert resolve_panel_layout() == "objects"
-        assert resolve_panel_layout("columnar") == "columnar"
-        with pytest.raises(ConfigurationError, match="unknown panel layout"):
-            resolve_panel_layout("rowwise")
+class TestObjectConstruction:
+    """``FDVTPanel(users)`` / ``Population(users)`` equal their column twins."""
 
-    def test_build_panel_layouts_bit_identical(self, simulation_factory):
-        simulation = simulation_factory()
-        columnar = build_panel(
-            simulation.config, seed=None, catalog=simulation.catalog, layout="columnar"
+    def test_panel_from_users_equals_from_columns(self, tiny_catalog):
+        users = _users_for_columns()
+        panel = FDVTPanel(users, tiny_catalog)
+        twin = FDVTPanel.from_columns(PanelColumns.from_users(users), tiny_catalog)
+        assert panel.columns.content_equals(twin.columns)
+        assert len(panel) == len(twin) == len(users)
+        assert panel.get(9) == twin.get(9) == users[3]
+        assert panel.users == twin.users == tuple(users)
+        with pytest.raises(PanelError, match="unique"):
+            FDVTPanel(users + users[:1], tiny_catalog)
+        with pytest.raises(PanelError, match="at least one user"):
+            FDVTPanel((), tiny_catalog)
+
+    def test_population_from_users_equals_from_columns(self):
+        users = _users_for_columns()
+        population = Population(users, scale_factor=2.0)
+        twin = Population.from_columns(
+            PanelColumns.from_users(users), scale_factor=2.0
         )
-        objects = build_panel(
-            simulation.config, seed=None, catalog=simulation.catalog, layout="objects"
+        assert population.columns.content_equals(twin.columns)
+        assert len(population) == len(twin) == len(users)
+        assert population.get(7) == twin.get(7) == users[1]
+        assert population.users == twin.users == tuple(users)
+        assert population.audience_size((1,)) == twin.audience_size((1,)) == 4.0
+        with pytest.raises(PopulationError, match="unique"):
+            Population(users + users[:1])
+        with pytest.raises(PopulationError, match="at least one user"):
+            Population(())
+
+
+def test_manifest_with_panel_layout_note_resumes_bit_identical(tmp_path):
+    """Manifests that still carry a ``panel_layout`` note load and resume."""
+    grid = [
+        ScenarioSpec(
+            name="layout-note",
+            study="uniqueness",
+            factor=120,
+            seed=5,
+            probabilities=(0.9,),
+            n_bootstrap=20,
         )
-        assert columnar.has_columns and not objects.has_columns
-        assert columnar.users == objects.users
-
-    def test_build_simulation_threads_layout(self):
-        from repro.config import quick_config
-
-        config = quick_config(factor=120)
-        simulation = build_simulation(config, seed=3, panel_layout="columnar")
-        assert simulation.panel.has_columns
-        reference = build_simulation(config, seed=3, panel_layout="objects")
-        assert not reference.panel.has_columns
-        assert simulation.panel.users == reference.panel.users
-
-
-class TestSweepLayoutNote:
-    def _grid(self):
-        return [
-            ScenarioSpec(
-                name="layout-note",
-                study="uniqueness",
-                factor=120,
-                seed=5,
-                probabilities=(0.9,),
-                n_bootstrap=20,
-            )
-        ]
-
-    def test_manifest_records_layout(self):
-        report = SweepRunner().run_report(self._grid())
-        assert report.manifest.notes["panel_layout"] == "columnar"
-
-    def test_resume_rejects_layout_mismatch(self, monkeypatch):
-        report = SweepRunner().run_report(self._grid())
-        monkeypatch.setenv("REPRO_PANEL_LAYOUT", "objects")
-        with pytest.raises(ConfigurationError, match="panel layout"):
-            SweepRunner().run_report(self._grid(), resume=report.manifest)
-
-    def test_resume_accepts_matching_layout(self):
-        report = SweepRunner().run_report(self._grid())
-        resumed = SweepRunner().run_report(self._grid(), resume=report.manifest)
-        assert resumed.manifest.notes["panel_layout"] == "columnar"
-        assert all(entry.resumed for entry in resumed.manifest.completed())
-
-    def test_legacy_manifest_without_note_resumes(self):
-        report = SweepRunner().run_report(self._grid())
-        notes = report.manifest.notes
-        notes.pop("panel_layout")
-        legacy = RunManifest(report.manifest.completed(), notes=notes)
-        resumed = SweepRunner().run_report(self._grid(), resume=legacy)
-        assert resumed.manifest.notes["panel_layout"] == "columnar"
+    ]
+    report = SweepRunner().run_report(grid)
+    legacy = RunManifest(
+        report.manifest.completed(),
+        notes={**report.manifest.notes, "panel_layout": "objects"},
+    )
+    path = legacy.save(tmp_path / "manifest.json")
+    resumed = SweepRunner().run_report(grid, resume=path)
+    assert resumed.counts()["resumed"] == len(grid)
+    assert resumed.results == report.results
+    assert "panel_layout" not in resumed.manifest.notes
 
 
 @pytest.mark.slow
@@ -541,7 +559,7 @@ def test_moderate_scale_columnar_end_to_end(tiny_catalog):
     panel = PanelBuilder(tiny_catalog, config).build_columns(
         seed=19, executor=ShardExecutor(backend="thread", workers=2, shard_size=512)
     )
-    assert panel.has_columns and len(panel) == n_users
+    assert len(panel) == n_users
     api = AdsManagerAPI(
         StatisticalReachModel(tiny_catalog, ReachModelConfig()),
         platform=PlatformConfig.legacy_2017(),

@@ -71,8 +71,8 @@ class TestPanelBuilder:
             n_age_undisclosed=2, median_interests_per_user=40.0,
             max_interests_per_user=120, seed=3,
         )
-        first = PanelBuilder(tiny_catalog, config).build(seed=3)
-        second = PanelBuilder(tiny_catalog, config).build(seed=3)
+        first = PanelBuilder(tiny_catalog, config).build_columns(seed=3)
+        second = PanelBuilder(tiny_catalog, config).build_columns(seed=3)
         assert first.to_dicts() == second.to_dicts()
 
     def test_full_size_panel_uses_exact_country_counts(self, tiny_catalog):
@@ -185,7 +185,7 @@ class TestFullPanelMarginals:
             n_adolescents=12, n_early_adults=138, n_adults=58, n_matures=2,
             n_age_undisclosed=30, seed=23,
         )
-        return PanelBuilder(catalog, config).build(seed=23)
+        return PanelBuilder(catalog, config).build_columns(seed=23)
 
     def test_median_interest_count_close_to_426(self, mid_panel):
         median = float(np.median(mid_panel.interests_per_user()))

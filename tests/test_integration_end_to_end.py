@@ -87,7 +87,7 @@ class TestBackendConsistency:
             max_interests_per_user=300,
             seed=3,
         )
-        population = PopulationBuilder(simulation.catalog, config).build(seed=3)
+        population = PopulationBuilder(simulation.catalog, config).build_columns(seed=3)
         return simulation.reach_model, PopulationReachBackend(population)
 
     def test_world_sizes_match_by_construction(self, backends):

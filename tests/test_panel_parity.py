@@ -21,8 +21,8 @@ from repro.core import (
     AudienceSizeCollector,
     LeastPopularSelection,
     RandomSelection,
-    ordered_interest_matrix,
 )
+from repro.core.selection import ordered_interest_matrix_columns
 from repro.errors import (
     ModelError,
     PanelError,
@@ -31,7 +31,7 @@ from repro.errors import (
     UnknownInterestError,
 )
 from repro.fdvt import FDVTExtension, FDVTPanel
-from repro.population import SyntheticUser
+from repro.population import PanelColumns, SyntheticUser
 from repro.reach import StatisticalReachModel, country_codes
 from repro.simclock import SimClock
 
@@ -314,26 +314,26 @@ class TestCollectorThreeTierParity:
             panel_samples.matrix, scalar_samples.matrix, equal_nan=True
         )
 
-    def test_legacy_batch_flag_still_selects_tiers(self, stack):
+    def test_mode_selects_tiers_and_rejects_unknown(self, stack):
         simulation, fresh_api = stack
         collector = AudienceSizeCollector(
             fresh_api(), simulation.panel, max_interests=3, locations=country_codes()
         )
-        legacy = collector.collect(LeastPopularSelection(), batch=True)
-        modern = collector.collect(LeastPopularSelection(), mode="batch")
-        assert np.array_equal(legacy.matrix, modern.matrix, equal_nan=True)
-        with pytest.raises(ModelError):
-            collector.collect(LeastPopularSelection(), mode="panel", batch=True)
+        panel = collector.collect(LeastPopularSelection())
+        batch = collector.collect(LeastPopularSelection(), mode="batch")
+        assert np.array_equal(panel.matrix, batch.matrix, equal_nan=True)
         with pytest.raises(ModelError):
             collector.collect(LeastPopularSelection(), mode="warp")
+        with pytest.raises(TypeError):
+            collector.collect(LeastPopularSelection(), batch=True)
 
 
 class TestOrderedInterestMatrix:
     def test_matches_scalar_ordering_for_both_strategies(self, simulation):
         users = simulation.panel.users
         for strategy in (LeastPopularSelection(), RandomSelection(seed=3)):
-            matrix, counts = ordered_interest_matrix(
-                strategy, users, simulation.catalog, 6
+            matrix, counts = ordered_interest_matrix_columns(
+                strategy, simulation.panel.columns, simulation.catalog, 6
             )
             assert matrix.shape[1] <= 6
             for row, user in enumerate(users):
@@ -342,19 +342,46 @@ class TestOrderedInterestMatrix:
                 assert tuple(matrix[row, : counts[row]]) == expected
                 assert (matrix[row, counts[row] :] == -1).all()
 
+    def test_strategy_without_column_hook_falls_back_per_row(self, simulation):
+        class ScalarOnly:
+            """A strategy exposing only the protocol's per-user ordering."""
+
+            name = "least_popular"
+
+            def order_interests(self, user, catalog, max_interests):
+                return LeastPopularSelection().order_interests(
+                    user, catalog, max_interests
+                )
+
+        columns = simulation.panel.columns
+        expected = ordered_interest_matrix_columns(
+            LeastPopularSelection(), columns, simulation.catalog, 6, 3, 17
+        )
+        produced = ordered_interest_matrix_columns(
+            ScalarOnly(), columns, simulation.catalog, 6, 3, 17
+        )
+        assert np.array_equal(produced[0], expected[0])
+        assert np.array_equal(produced[1], expected[1])
+
     def test_unknown_interest_raises(self, simulation):
         users = (
             SyntheticUser(user_id=1, country="US", interest_ids=(10**9,)),
         )
         with pytest.raises(UnknownInterestError):
-            ordered_interest_matrix(
-                LeastPopularSelection(), users, simulation.catalog, 5
+            ordered_interest_matrix_columns(
+                LeastPopularSelection(),
+                PanelColumns.from_users(users),
+                simulation.catalog,
+                5,
             )
 
     def test_invalid_max_interests(self, simulation):
         with pytest.raises(ModelError):
-            ordered_interest_matrix(
-                LeastPopularSelection(), simulation.panel.users, simulation.catalog, 0
+            ordered_interest_matrix_columns(
+                LeastPopularSelection(),
+                simulation.panel.columns,
+                simulation.catalog,
+                0,
             )
 
 

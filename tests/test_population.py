@@ -39,7 +39,7 @@ def small_population(small_catalog):
         max_interests_per_user=150,
         seed=5,
     )
-    return PopulationBuilder(small_catalog, config).build(seed=5)
+    return PopulationBuilder(small_catalog, config).build_columns(seed=5)
 
 
 class TestDemographics:
