@@ -11,27 +11,35 @@ Batch kernel design
 A paper-scale bootstrap is 10,000 resamples x several quantiles, which the
 original implementation evaluated with one ``nanpercentile`` and one SVD
 least-squares fit per replicate in a Python loop.  :func:`bootstrap_cutpoints`
-now draws the resample index matrices in bulk (one generator call per
-chunk — stream-identical to a single up-front draw), gathers
-and reduces the replicates in memory-bounded chunks (one sort-based
-:func:`~repro.core.quantiles.masked_column_quantiles` pass per chunk — bit-
-identical to per-replicate ``nanpercentile`` without its per-slice Python
-dispatch — with O(chunk * users * N) transient memory), and fits every
-replicate of a chunk at once with :func:`~repro.core.fitting.fit_vas_many` —
-closed-form masked least squares across rows, no per-replicate Python work.  Replicates
-whose fit would fail (degenerate resample, non-positive slope) surface as
-``NaN`` exactly like the scalar loop did.
+draws the resample index matrices in bulk (one generator call per chunk —
+stream-identical to a single up-front draw) and reduces the replicates in
+memory-bounded chunks.  Each chunk is *lane-major* end to end: one gather
+builds a fresh C-contiguous ``(N, replicates, users)`` block, so every
+(N, replicate) lane of resampled users is contiguous, and one
+:func:`~repro.core.quantiles.masked_column_quantiles` pass sorts those lanes
+in place and interpolates — bit-identical to per-replicate ``nanpercentile``
+without its per-slice Python dispatch, with O(chunk * users * N) transient
+memory and no second copy of the block.  (Sorting a replicate-major
+``(replicates, users, N)`` stack along ``axis=1`` instead strides every lane
+by N floats, so numpy copies each lane out and back; a paper-scale chunk
+runs ~3x slower that way.)  :func:`~repro.core.fitting.fit_vas_many` then
+fits every replicate of a chunk at once — closed-form masked least squares
+across rows, no per-replicate Python work.  Replicates whose fit would fail
+(degenerate resample, non-positive slope) surface as ``NaN`` exactly like
+the scalar loop did.
 
 Streaming support
 -----------------
-:func:`bootstrap_cutpoints` reads its input through the row-gather
-interface (``samples.take_rows`` plus the ``n_users`` / ``max_interests`` /
-``floor`` views) shared by the dense :class:`~repro.core.quantiles.AudienceSamples`
-and the streamed :class:`~repro.core.quantiles.StreamedAudienceSamples`
-column store, so the whole collection → quantiles → bootstrap chain can run
-off accumulated per-shard blocks without ever materialising the users x N
-matrix.  Both stores gather bit-identical resample stacks, hence
-bit-identical cutpoint distributions.
+:func:`bootstrap_cutpoints` reads its input through the lane-major gather
+interface (``samples.gather_lanes`` plus the ``n_users`` / ``max_interests``
+/ ``floor`` views) shared by the dense
+:class:`~repro.core.quantiles.AudienceSamples` (a ``take`` along its
+transposed matrix) and the streamed
+:class:`~repro.core.quantiles.StreamedAudienceSamples` column store (a
+``take`` on its lane-major position table), so the whole collection →
+quantiles → bootstrap chain can run off accumulated per-shard blocks without
+ever materialising the users x N matrix.  Both stores gather bit-identical
+lane blocks, hence bit-identical cutpoint distributions.
 
 Sharded execution
 -----------------
@@ -93,6 +101,8 @@ class ConfidenceInterval:
 
 def percentile_interval(values: Sequence[float], level: float) -> ConfidenceInterval:
     """Percentile bootstrap interval over a sample of estimates."""
+    if not 0.0 < level < 1.0:
+        raise ModelError("confidence level must lie in (0, 1)")
     array = np.asarray(list(values), dtype=float)
     array = array[np.isfinite(array)]
     if array.size == 0:
@@ -118,9 +128,9 @@ def _run_bootstrap_chunk(task: _BootstrapChunkTask) -> np.ndarray:
     depend on which worker (or process) evaluates them, which is what keeps
     the sharded bootstrap bit-identical across backends and worker counts.
     """
-    resampled = task.samples.take_rows(task.indices)
+    lanes = task.samples.gather_lanes(task.indices)
     with np.errstate(all="ignore"):
-        vas_rows = masked_column_quantiles(resampled, task.q_percents)
+        vas_rows = masked_column_quantiles(lanes, task.q_percents)
     return np.stack(
         [
             fit_vas_many(replicate_rows, task.samples.floor).cutpoints
@@ -158,8 +168,10 @@ def bootstrap_cutpoints(
     """
     if n_bootstrap < 1:
         raise ModelError("n_bootstrap must be >= 1")
+    qs = tuple(AudienceSamples._validate_q(q) for q in q_percents)
+    if not qs:
+        raise ModelError("bootstrap_cutpoints needs at least one quantile")
     rng = as_generator(seed)
-    qs = tuple(float(q) for q in q_percents)
     n_users, width = samples.n_users, samples.max_interests
     if chunk_size is None:
         if executor is not None and executor.shard_size is not None:
@@ -168,6 +180,8 @@ def bootstrap_cutpoints(
             chunk_size = max(
                 1, min(n_bootstrap, _CHUNK_BUDGET // max(1, n_users * width))
             )
+    if chunk_size < 1:
+        raise ModelError("chunk_size must be >= 1")
     results = {q: np.empty(n_bootstrap, dtype=float) for q in qs}
     starts = range(0, n_bootstrap, chunk_size)
     # Drawing per chunk keeps peak memory O(chunk); the concatenated

@@ -17,8 +17,8 @@ they arrive — ``update(block)`` per block, ``merge(other)`` across
 accumulators, ``finalize()`` once — and produces a
 :class:`StreamedAudienceSamples`: a column store (per-N compact vectors of
 the valid samples plus per-user prefix lengths) that supports the same
-quantile interface and the bootstrap's row gathers *bit-identically* to the
-dense matrix, while the full users x N sample matrix is never materialised.
+quantile interface and the bootstrap's lane-major gather *bit-identically* to
+the dense matrix, while the full users x N sample matrix is never materialised.
 """
 
 from __future__ import annotations
@@ -112,14 +112,23 @@ class AudienceSamples:
         ids = tuple(self.user_ids[i] for i in indices) if self.user_ids else ()
         return AudienceSamples(self.matrix[indices], self.floor, ids)
 
-    def take_rows(self, row_indices: np.ndarray) -> np.ndarray:
-        """Gather user rows by (possibly multi-dimensional) index array.
+    def gather_lanes(self, row_indices: np.ndarray) -> np.ndarray:
+        """Gather resampled users lane-major: ``matrix[row_indices]`` with N first.
 
-        ``take_rows(idx)[..., :]`` equals ``matrix[idx]``; the bootstrap
-        resolves its resample index matrices through this method so dense
-        and streamed sample stores are interchangeable.
+        For an ``(R, U)`` index matrix the result is a fresh C-contiguous
+        ``(N, R, U)`` block whose ``[k, r]`` lane holds column ``k`` of the
+        users drawn by replicate ``r`` — i.e. it equals
+        ``np.moveaxis(matrix[row_indices], -1, 0)``.  Each lane is contiguous,
+        so :func:`masked_column_quantiles` can sort the block in place.  The
+        gather is one ``take`` along the transposed matrix (``take`` works on
+        a transient contiguous copy of it, ``N × users`` floats, so nothing
+        stays resident); a fancy index on the transpose would come back
+        non-contiguous and sort ~2x slower.
         """
-        return self.matrix[np.asarray(row_indices, dtype=np.intp)]
+        indices = np.asarray(row_indices, dtype=np.intp)
+        return self.matrix.T.take(indices.reshape(-1), axis=1).reshape(
+            self.max_interests, *indices.shape
+        )
 
     # -- internals -----------------------------------------------------------------------
 
@@ -138,28 +147,35 @@ class AudienceSamples:
 
 
 def masked_column_quantiles(
-    stacked: np.ndarray, q_percents: Sequence[float]
+    lanes: np.ndarray, q_percents: Sequence[float]
 ) -> np.ndarray:
-    """``nanpercentile(..., axis=1)`` over a 3-D replicate stack, vectorised.
+    """Per-replicate ``nanpercentile`` over a lane-major resample block.
 
-    ``stacked`` has shape ``(replicates, users, N)``; the result has shape
-    ``(len(q_percents), replicates, N)`` and is bit-identical to calling
-    :func:`numpy.nanpercentile` per replicate.  NumPy's nan-aware quantile
-    dispatches a Python call per (replicate, N) slice, which dominates the
-    bootstrap; this kernel instead sorts the whole stack once (NaNs sort to
-    the end), counts valid entries per column, and evaluates the same
-    linear-interpolation formula (including the ``gamma >= 0.5`` anti-
-    cancellation branch of NumPy's ``_lerp``) with pure array indexing.
+    ``lanes`` has shape ``(N, replicates, users)`` — the layout
+    :meth:`AudienceSamples.gather_lanes` returns — and the result has shape
+    ``(len(q_percents), replicates, N)``, bit-identical to calling
+    :func:`numpy.nanpercentile` (``axis=0``) on each replicate's
+    ``users x N`` matrix.  NumPy's nan-aware quantile dispatches a Python
+    call per (replicate, N) slice, which dominates the bootstrap; this
+    kernel instead sorts every lane once along its contiguous last axis
+    (NaNs sort to the end), counts the valid entries per lane, and
+    evaluates the same linear-interpolation formula (including the
+    ``gamma >= 0.5`` anti-cancellation branch of NumPy's ``_lerp``) with
+    pure array indexing.
+
+    The sort happens **in place**: a float64 ``lanes`` array is reordered
+    along its last axis, so pass a block the caller owns (the gathers
+    return a fresh one per call).  Any other input is converted to a
+    float64 copy first and the caller's data is left untouched.
     """
-    values = np.asarray(stacked, dtype=float)
+    values = np.asarray(lanes, dtype=float)
     if values.ndim != 3:
-        raise ModelError("masked_column_quantiles expects a 3-D stack")
+        raise ModelError("masked_column_quantiles expects a 3-D (N, R, users) block")
     quantiles = np.asarray([float(q) for q in q_percents], dtype=float) / 100.0
-    ordered = np.sort(values, axis=1)  # NaNs land after every finite value
-    counts = (~np.isnan(ordered)).sum(axis=1)  # (replicates, N)
+    values.sort(axis=-1)  # in place; NaNs land after every finite value
+    counts = values.shape[-1] - np.isnan(values).sum(axis=-1)  # (N, replicates)
     top = counts - 1  # index of the largest valid entry
-    gathered = np.moveaxis(ordered, 1, 2)  # (replicates, N, users)
-    results = np.empty((quantiles.size, values.shape[0], values.shape[2]))
+    results = np.empty((quantiles.size, values.shape[1], values.shape[0]))
     for position, quantile in enumerate(quantiles):
         virtual = quantile * top
         previous = np.floor(virtual)
@@ -171,15 +187,15 @@ def masked_column_quantiles(
         high = np.where(at_top, top, high)
         safe_low = np.maximum(low, 0)
         safe_high = np.maximum(high, 0)
-        lower = np.take_along_axis(gathered, safe_low[..., None], axis=2)[..., 0]
-        upper = np.take_along_axis(gathered, safe_high[..., None], axis=2)[..., 0]
+        lower = np.take_along_axis(values, safe_low[..., None], axis=-1)[..., 0]
+        upper = np.take_along_axis(values, safe_high[..., None], axis=-1)[..., 0]
         difference = upper - lower
         interpolated = np.where(
             gamma >= 0.5,
             upper - difference * (1.0 - gamma),
             lower + difference * gamma,
         )
-        results[position] = np.where(counts == 0, np.nan, interpolated)
+        results[position] = np.where(counts == 0, np.nan, interpolated).T
     return results
 
 
@@ -190,11 +206,11 @@ class StreamedAudienceSamples:
     Holds, for every interest count ``N``, the compact vector of valid
     samples (users with at least ``N`` interests, in panel-row order) plus
     each user's prefix length — never the dense users x N matrix.  The
-    quantile interface (:meth:`vas_many`) and the bootstrap's row gathers
-    (:meth:`take_rows`) are bit-identical to their dense
+    quantile interface (:meth:`vas_many`) and the bootstrap's lane-major
+    gather (:meth:`gather_lanes`) are bit-identical to their dense
     :class:`AudienceSamples` counterparts: the compact column equals the
-    dense column with its ``NaN`` tail removed, and a gathered row block
-    reconstructs exactly ``matrix[indices]``.
+    dense column with its ``NaN`` tail removed, and a gathered lane block
+    reconstructs exactly ``np.moveaxis(matrix[indices], -1, 0)``.
     """
 
     #: Per-column compact sample vectors, column k holding the samples of
@@ -259,35 +275,38 @@ class StreamedAudienceSamples:
                 result[:, k] = np.percentile(column, qs)
         return result
 
-    def take_rows(self, row_indices: np.ndarray) -> np.ndarray:
-        """Reconstruct ``matrix[row_indices]`` from the column store.
+    def gather_lanes(self, row_indices: np.ndarray) -> np.ndarray:
+        """Reconstruct ``AudienceSamples.gather_lanes`` from the column store.
 
-        The result is a dense gathered block (transient, sized by the
-        caller's chunking) — the full matrix itself is never built.  The
-        gather is fused: a position table maps every (user, column) cell to
+        The result is the same fresh C-contiguous ``(N, *row_indices.shape)``
+        block the dense store returns (transient, sized by the caller's
+        chunking) — the full matrix itself is never built.  The gather is
+        fused: a lane-major position table maps every (column, user) cell to
         its offset in the concatenated column values (with one trailing
         ``NaN`` sentinel for the cells past each user's prefix), so a block
-        is one row-take on the table plus one value-take — no per-column
-        Python loop, no per-call rank recomputation.  Within column ``k``
-        the sample of user ``u`` sits at position ``rank_k(u)``, the number
-        of earlier rows with more than ``k`` valid samples; the table bakes
-        those ranks in once and is reused by every subsequent gather (the
-        bootstrap calls this per replicate chunk).
+        is one take along the table's user axis plus one value-take — no
+        per-column Python loop, no per-call rank recomputation.  Within
+        column ``k`` the sample of user ``u`` sits at position ``rank_k(u)``,
+        the number of earlier rows with more than ``k`` valid samples; the
+        table bakes those ranks in once and is reused by every subsequent
+        gather (the bootstrap calls this per replicate chunk).
         """
         indices = np.asarray(row_indices, dtype=np.intp)
         values, positions = self._gather_table()
-        gathered = values[positions.take(indices.reshape(-1), axis=0)]
-        return gathered.reshape(*indices.shape, self.max_interests)
+        gathered = values[positions.take(indices.reshape(-1), axis=1)]
+        return gathered.reshape(self.max_interests, *indices.shape)
 
     def _gather_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The fused-gather lookup: (extended values, per-cell positions).
 
-        Built lazily once per store.  ``positions[u, k]`` indexes the
-        concatenated column values, or the trailing ``NaN`` sentinel when
-        user ``u`` has no sample for column ``k``.  The table costs
-        ``n_users × max_interests`` int32/intp cells — a deliberate
-        memory-for-time trade that is still well below the dense float
-        matrix and is amortised across every bootstrap chunk.
+        Built lazily once per store.  The table is lane-major:
+        ``positions[k, u]`` indexes the concatenated column values, or the
+        trailing ``NaN`` sentinel when user ``u`` has no sample for column
+        ``k``, so each column's positions are contiguous and a gather writes
+        whole lanes.  The table costs ``max_interests × n_users``
+        int32/intp cells — a deliberate memory-for-time trade that is still
+        well below the dense float matrix and is amortised across every
+        bootstrap chunk.
         """
         cached = self.__dict__.get("_gather_cache")
         if cached is None:
@@ -298,11 +317,11 @@ class StreamedAudienceSamples:
             total = int(sizes.sum())
             offsets = np.zeros(width, dtype=np.int64)
             np.cumsum(sizes[:-1], out=offsets[1:])
-            member = self.row_counts[:, None] > np.arange(width)[None, :]
-            ranks = np.cumsum(member, axis=0) - 1
+            member = np.arange(width)[:, None] < self.row_counts[None, :]
+            ranks = np.cumsum(member, axis=1) - 1
             dtype = np.int32 if total + 1 <= np.iinfo(np.int32).max else np.intp
             positions = np.where(
-                member, ranks + offsets[None, :], total
+                member, ranks + offsets[:, None], total
             ).astype(dtype, copy=False)
             values = np.empty(total + 1, dtype=float)
             cursor = 0
@@ -317,7 +336,7 @@ class StreamedAudienceSamples:
     def to_samples(self) -> AudienceSamples:
         """Materialise the dense :class:`AudienceSamples` (debug/parity aid)."""
         return AudienceSamples(
-            matrix=self.take_rows(np.arange(self.n_users)),
+            matrix=self.gather_lanes(np.arange(self.n_users)).T.copy(),
             floor=self.floor,
             user_ids=self.user_ids,
         )

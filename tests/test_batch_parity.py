@@ -272,7 +272,8 @@ class TestMaskedColumnQuantiles:
             stack = rng.normal(0.0, 50.0, size=shape)
             stack[rng.random(size=shape) < rng.random() * 0.8] = np.nan
             qs = sorted(rng.uniform(1.0, 99.0, size=3))
-            ours = masked_column_quantiles(stack, qs)
+            lanes = np.ascontiguousarray(np.moveaxis(stack, 2, 0))  # (N, R, U)
+            ours = masked_column_quantiles(lanes, qs)
             import warnings
 
             with warnings.catch_warnings():

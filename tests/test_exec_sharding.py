@@ -302,7 +302,12 @@ class TestCollectStream:
         rng = np.random.default_rng(5)
         idx = rng.integers(0, ref_samples.n_users, size=(4, ref_samples.n_users))
         assert np.array_equal(
-            streamed.take_rows(idx), ref_samples.matrix[idx], equal_nan=True
+            streamed.gather_lanes(idx),
+            np.moveaxis(ref_samples.matrix[idx], -1, 0),
+            equal_nan=True,
+        )
+        assert np.array_equal(
+            streamed.gather_lanes(idx), ref_samples.gather_lanes(idx), equal_nan=True
         )
         assert np.array_equal(
             streamed.to_samples().matrix, ref_samples.matrix, equal_nan=True
@@ -607,7 +612,7 @@ class TestShardedBootstrap:
 
 
 class TestFusedStreamedGather:
-    """StreamedAudienceSamples.take_rows: the single-take gather kernel."""
+    """StreamedAudienceSamples.gather_lanes: the single-take gather kernel."""
 
     @pytest.fixture(scope="class")
     def stores(self, simulation):
@@ -626,24 +631,27 @@ class TestFusedStreamedGather:
         rng = np.random.default_rng(5)
         for shape in ((4,), (3, 5), (2, 3, 4)):
             indices = rng.integers(0, dense.n_users, size=shape)
+            lanes = streamed.gather_lanes(indices)
+            assert lanes.flags.c_contiguous
             assert np.array_equal(
-                streamed.take_rows(indices), dense.matrix[indices], equal_nan=True
+                lanes, np.moveaxis(dense.matrix[indices], -1, 0), equal_nan=True
             )
+            assert np.array_equal(lanes, dense.gather_lanes(indices), equal_nan=True)
 
     def test_repeated_and_full_gathers(self, stores):
         dense, streamed = stores
         everyone = np.arange(dense.n_users)
         assert np.array_equal(
-            streamed.take_rows(everyone), dense.matrix, equal_nan=True
+            streamed.gather_lanes(everyone), dense.matrix.T, equal_nan=True
         )
         # the cached table serves every subsequent gather
         assert np.array_equal(
-            streamed.take_rows(everyone[::-1]), dense.matrix[::-1], equal_nan=True
+            streamed.gather_lanes(everyone[::-1]), dense.matrix[::-1].T, equal_nan=True
         )
 
     def test_gather_table_is_cached(self, stores):
         _, streamed = stores
-        streamed.take_rows(np.array([0]))
+        streamed.gather_lanes(np.array([0]))
         first = streamed._gather_table()
         assert streamed._gather_table() is first
 
