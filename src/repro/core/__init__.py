@@ -15,7 +15,6 @@ from .quantiles import (
     AudienceAccumulator,
     AudienceSamples,
     StreamedAudienceSamples,
-    masked_column_quantiles,
     probability_to_percentile,
 )
 from .results import NPEstimate, ResultSet, ScenarioResult, UniquenessReport
@@ -57,7 +56,6 @@ __all__ = [
     "bootstrap_cutpoints",
     "fit_vas",
     "fit_vas_many",
-    "masked_column_quantiles",
     "nested_subsets",
     "pad_id_rows",
     "percentile_interval",

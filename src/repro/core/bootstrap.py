@@ -13,33 +13,36 @@ original implementation evaluated with one ``nanpercentile`` and one SVD
 least-squares fit per replicate in a Python loop.  :func:`bootstrap_cutpoints`
 draws the resample index matrices in bulk (one generator call per chunk —
 stream-identical to a single up-front draw) and reduces the replicates in
-memory-bounded chunks.  Each chunk is *lane-major* end to end: one gather
-builds a fresh C-contiguous ``(N, replicates, users)`` block, so every
-(N, replicate) lane of resampled users is contiguous, and one
-:func:`~repro.core.quantiles.masked_column_quantiles` pass sorts those lanes
-in place and interpolates — bit-identical to per-replicate ``nanpercentile``
-without its per-slice Python dispatch, with O(chunk * users * N) transient
-memory and no second copy of the block.  (Sorting a replicate-major
-``(replicates, users, N)`` stack along ``axis=1`` instead strides every lane
-by N floats, so numpy copies each lane out and back; a paper-scale chunk
-runs ~3x slower that way.)  :func:`~repro.core.fitting.fit_vas_many` then
-fits every replicate of a chunk at once — closed-form masked least squares
-across rows, no per-replicate Python work.  Replicates whose fit would fail
+memory-bounded chunks.  Each chunk runs on *rank lanes*: every lane of a
+chunk holds the resampled users of one fixed column, so the store's
+:class:`~repro.core.quantiles.RankTable` replaces each sample by its min-rank
+within that column (``int16`` at panel scale; tied values such as the
+reporting floor share a rank).
+:meth:`~repro.core.quantiles.RankTable.resample_quantiles` gathers a fresh
+C-contiguous ``(N, replicates, users)`` block of ranks with one ``take``,
+sorts it in place along the last axis, counts the valid cells of each lane
+from a histogram of the drawn users' membership patterns, and decodes only
+the two order statistics each quantile interpolates between — bit-identical
+to per-replicate ``nanpercentile``, because ranks order a lane exactly as its
+floats do and decode to exactly the float at each sorted position.  Against
+sorting float64 lanes, the gathered block is a quarter of the bytes and
+sorts faster.  :func:`~repro.core.fitting.fit_vas_many` then fits every
+replicate of a chunk at once — closed-form masked least squares across rows,
+no per-replicate Python work.  Replicates whose fit would fail
 (degenerate resample, non-positive slope) surface as ``NaN`` exactly like
 the scalar loop did.
 
 Streaming support
 -----------------
-:func:`bootstrap_cutpoints` reads its input through the lane-major gather
-interface (``samples.gather_lanes`` plus the ``n_users`` / ``max_interests``
-/ ``floor`` views) shared by the dense
-:class:`~repro.core.quantiles.AudienceSamples` (a ``take`` along its
-transposed matrix) and the streamed
-:class:`~repro.core.quantiles.StreamedAudienceSamples` column store (a
-``take`` on its lane-major position table), so the whole collection →
-quantiles → bootstrap chain can run off accumulated per-shard blocks without
-ever materialising the users x N matrix.  Both stores gather bit-identical
-lane blocks, hence bit-identical cutpoint distributions.
+:func:`bootstrap_cutpoints` reads its input through ``samples.rank_table()``
+plus the ``n_users`` / ``max_interests`` / ``floor`` views, shared by the
+dense :class:`~repro.core.quantiles.AudienceSamples` (which builds the table
+from its matrix columns) and the streamed
+:class:`~repro.core.quantiles.StreamedAudienceSamples` column store (which
+builds it from its compact columns and per-user prefix lengths), so the whole
+collection → quantiles → bootstrap chain can run off accumulated per-shard
+blocks without ever materialising the users x N matrix.  Both stores build
+identical rank tables, hence bit-identical cutpoint distributions.
 
 Sharded execution
 -----------------
@@ -48,10 +51,12 @@ chunks fan out across the same :class:`~repro.exec.runner.ShardRunner`
 backends as collection: the index matrices are still drawn sequentially
 from one generator (so the draw stream — and hence every cutpoint — is
 bit-identical for every backend, worker count and chunk size), only the
-pure per-chunk gather + quantile + fit work runs on the runner, and chunk
-results are reassembled in draw order.  The sharded route materialises all
-index chunks up front (``n_bootstrap × n_users`` int64), which the serial
-route avoids by drawing and discarding per chunk.
+pure per-chunk quantile + fit work runs on the runner, and chunk results
+are reassembled in draw order.  Each task carries the rank table, not the
+sample store.  Every drawn chunk is cast to the rank dtype (``int16`` at
+panel scale, a quarter of the ``int64`` draw); the sharded route holds all
+of them at once, which the serial route avoids by drawing and discarding per
+chunk.
 """
 
 from __future__ import annotations
@@ -65,11 +70,7 @@ from .._rng import SeedLike, as_generator
 from ..errors import ModelError
 from ..exec import ShardExecutor
 from .fitting import fit_vas_many
-from .quantiles import (
-    AudienceSamples,
-    StreamedAudienceSamples,
-    masked_column_quantiles,
-)
+from .quantiles import AudienceSamples, RankTable, StreamedAudienceSamples
 
 #: Target transient-buffer size (floats) when chunking bootstrap replicates.
 _CHUNK_BUDGET = 4_000_000
@@ -103,7 +104,7 @@ def percentile_interval(values: Sequence[float], level: float) -> ConfidenceInte
     """Percentile bootstrap interval over a sample of estimates."""
     if not 0.0 < level < 1.0:
         raise ModelError("confidence level must lie in (0, 1)")
-    array = np.asarray(list(values), dtype=float)
+    array = np.asarray(values, dtype=float)
     array = array[np.isfinite(array)]
     if array.size == 0:
         raise ModelError("cannot build a confidence interval from no finite values")
@@ -114,26 +115,26 @@ def percentile_interval(values: Sequence[float], level: float) -> ConfidenceInte
 
 @dataclass(frozen=True)
 class _BootstrapChunkTask:
-    """One replicate chunk: the sample store, quantiles and drawn indices."""
+    """One replicate chunk: the store's rank table, floor, quantiles and draws."""
 
-    samples: AudienceSamples | StreamedAudienceSamples
+    table: RankTable
+    floor: int
     q_percents: tuple[float, ...]
     indices: np.ndarray
 
 
 def _run_bootstrap_chunk(task: _BootstrapChunkTask) -> np.ndarray:
-    """Gather, quantile and fit one chunk; returns a (n_q, chunk) array.
+    """Quantile and fit one chunk; returns a (n_q, chunk) array.
 
     Pure compute over inputs fixed at draw time — chunk results do not
     depend on which worker (or process) evaluates them, which is what keeps
     the sharded bootstrap bit-identical across backends and worker counts.
     """
-    lanes = task.samples.gather_lanes(task.indices)
     with np.errstate(all="ignore"):
-        vas_rows = masked_column_quantiles(lanes, task.q_percents)
+        vas_rows = task.table.resample_quantiles(task.indices, task.q_percents)
     return np.stack(
         [
-            fit_vas_many(replicate_rows, task.samples.floor).cutpoints
+            fit_vas_many(replicate_rows, task.floor).cutpoints
             for replicate_rows in vas_rows
         ]
     )
@@ -184,33 +185,28 @@ def bootstrap_cutpoints(
         raise ModelError("chunk_size must be >= 1")
     results = {q: np.empty(n_bootstrap, dtype=float) for q in qs}
     starts = range(0, n_bootstrap, chunk_size)
-    # Drawing per chunk keeps peak memory O(chunk); the concatenated
-    # stream is identical to one up-front (n_bootstrap, n_users) draw,
-    # so results do not depend on the chunk size.
+    table = samples.rank_table()
+
+    def draw(start: int) -> _BootstrapChunkTask:
+        # The rank dtype also holds every row index; casting after the draw
+        # leaves the stream untouched.
+        count = min(chunk_size, n_bootstrap - start)
+        indices = rng.integers(0, n_users, size=(count, n_users))
+        indices = indices.astype(table.ranks.dtype)
+        return _BootstrapChunkTask(table, samples.floor, qs, indices)
+
     if executor is None:
-        for start in starts:
-            count = min(chunk_size, n_bootstrap - start)
-            chunk = rng.integers(0, n_users, size=(count, n_users))
-            cutpoints = _run_bootstrap_chunk(
-                _BootstrapChunkTask(samples=samples, q_percents=qs, indices=chunk)
-            )
-            for q, row in zip(qs, cutpoints):
-                results[q][start : start + chunk.shape[0]] = row
-        return results
-    # Sharded route: draw every chunk first (sequentially, preserving the
-    # stream), then fan the pure chunk work out to the runner and reassemble
-    # in draw order.
-    tasks = [
-        _BootstrapChunkTask(
-            samples=samples,
-            q_percents=qs,
-            indices=rng.integers(
-                0, n_users, size=(min(chunk_size, n_bootstrap - start), n_users)
-            ),
-        )
-        for start in starts
-    ]
-    for start, cutpoints in zip(starts, executor.runner().run(_run_bootstrap_chunk, tasks)):
+        # Drawing per chunk keeps peak memory O(chunk); the concatenated
+        # stream is identical to one up-front (n_bootstrap, n_users) draw,
+        # so results do not depend on the chunk size.
+        chunks = map(_run_bootstrap_chunk, map(draw, starts))
+    else:
+        # Sharded route: draw every chunk first (sequentially, preserving
+        # the stream), then fan the pure chunk work out to the runner;
+        # results come back in draw order.
+        tasks = [draw(start) for start in starts]
+        chunks = executor.runner().run(_run_bootstrap_chunk, tasks)
+    for start, cutpoints in zip(starts, chunks):
         for q, row in zip(qs, cutpoints):
             results[q][start : start + row.size] = row
     return results

@@ -17,8 +17,10 @@ they arrive — ``update(block)`` per block, ``merge(other)`` across
 accumulators, ``finalize()`` once — and produces a
 :class:`StreamedAudienceSamples`: a column store (per-N compact vectors of
 the valid samples plus per-user prefix lengths) that supports the same
-quantile interface and the bootstrap's lane-major gather *bit-identically* to
-the dense matrix, while the full users x N sample matrix is never materialised.
+quantile interface *bit-identically* to the dense matrix, while the full
+users x N sample matrix is never materialised.  The bootstrap reads either
+store through its cached :class:`RankTable` (both build identical ones), which
+sorts small-integer rank lanes in place of float64 samples, bit-identically.
 """
 
 from __future__ import annotations
@@ -112,23 +114,16 @@ class AudienceSamples:
         ids = tuple(self.user_ids[i] for i in indices) if self.user_ids else ()
         return AudienceSamples(self.matrix[indices], self.floor, ids)
 
-    def gather_lanes(self, row_indices: np.ndarray) -> np.ndarray:
-        """Gather resampled users lane-major: ``matrix[row_indices]`` with N first.
-
-        For an ``(R, U)`` index matrix the result is a fresh C-contiguous
-        ``(N, R, U)`` block whose ``[k, r]`` lane holds column ``k`` of the
-        users drawn by replicate ``r`` — i.e. it equals
-        ``np.moveaxis(matrix[row_indices], -1, 0)``.  Each lane is contiguous,
-        so :func:`masked_column_quantiles` can sort the block in place.  The
-        gather is one ``take`` along the transposed matrix (``take`` works on
-        a transient contiguous copy of it, ``N × users`` floats, so nothing
-        stays resident); a fancy index on the transpose would come back
-        non-contiguous and sort ~2x slower.
-        """
-        indices = np.asarray(row_indices, dtype=np.intp)
-        return self.matrix.T.take(indices.reshape(-1), axis=1).reshape(
-            self.max_interests, *indices.shape
-        )
+    def rank_table(self) -> "RankTable":
+        """The bootstrap's :class:`RankTable` of this matrix (built once, cached)."""
+        cached = self.__dict__.get("_rank_table")
+        if cached is None:
+            member = ~np.isnan(self.matrix.T)
+            cached = RankTable.from_columns(
+                [column[valid] for column, valid in zip(self.matrix.T, member)], member
+            )
+            object.__setattr__(self, "_rank_table", cached)
+        return cached
 
     # -- internals -----------------------------------------------------------------------
 
@@ -146,57 +141,104 @@ class AudienceSamples:
         return float(q_percent)
 
 
-def masked_column_quantiles(
-    lanes: np.ndarray, q_percents: Sequence[float]
-) -> np.ndarray:
-    """Per-replicate ``nanpercentile`` over a lane-major resample block.
+@dataclass(frozen=True)
+class RankTable:
+    """Rank-coded samples: the bootstrap's lane-major lookup for one store.
 
-    ``lanes`` has shape ``(N, replicates, users)`` — the layout
-    :meth:`AudienceSamples.gather_lanes` returns — and the result has shape
-    ``(len(q_percents), replicates, N)``, bit-identical to calling
-    :func:`numpy.nanpercentile` (``axis=0``) on each replicate's
-    ``users x N`` matrix.  NumPy's nan-aware quantile dispatches a Python
-    call per (replicate, N) slice, which dominates the bootstrap; this
-    kernel instead sorts every lane once along its contiguous last axis
-    (NaNs sort to the end), counts the valid entries per lane, and
-    evaluates the same linear-interpolation formula (including the
-    ``gamma >= 0.5`` anti-cancellation branch of NumPy's ``_lerp``) with
-    pure array indexing.
-
-    The sort happens **in place**: a float64 ``lanes`` array is reordered
-    along its last axis, so pass a block the caller owns (the gathers
-    return a fresh one per call).  Any other input is converted to a
-    float64 copy first and the caller's data is left untouched.
+    ``ranks[k, u]`` is the *min-rank* of user ``u``'s sample among column
+    ``k``'s sorted valid samples (tied values, such as the floor, share one),
+    or the sentinel ``n_users`` — which sorts last — for a missing cell;
+    ``int16`` below 2**15 - 1 users, else ``int32``.  ``values[offsets[k] +
+    rank]`` decodes a rank (the sorted columns concatenated, plus a ``NaN``).
+    ``patterns[k, p]`` says whether membership pattern ``p`` (a prefix
+    length, for collected samples) covers column ``k``; ``user_pattern``
+    maps users to patterns, so lane counts are a histogram of pattern ids.
     """
-    values = np.asarray(lanes, dtype=float)
-    if values.ndim != 3:
-        raise ModelError("masked_column_quantiles expects a 3-D (N, R, users) block")
-    quantiles = np.asarray([float(q) for q in q_percents], dtype=float) / 100.0
-    values.sort(axis=-1)  # in place; NaNs land after every finite value
-    counts = values.shape[-1] - np.isnan(values).sum(axis=-1)  # (N, replicates)
-    top = counts - 1  # index of the largest valid entry
-    results = np.empty((quantiles.size, values.shape[1], values.shape[0]))
-    for position, quantile in enumerate(quantiles):
-        virtual = quantile * top
-        previous = np.floor(virtual)
-        gamma = virtual - previous
-        low = previous.astype(np.int64)
-        high = low + 1
-        at_top = virtual >= top
-        low = np.where(at_top, top, low)
-        high = np.where(at_top, top, high)
-        safe_low = np.maximum(low, 0)
-        safe_high = np.maximum(high, 0)
-        lower = np.take_along_axis(values, safe_low[..., None], axis=-1)[..., 0]
-        upper = np.take_along_axis(values, safe_high[..., None], axis=-1)[..., 0]
-        difference = upper - lower
-        interpolated = np.where(
-            gamma >= 0.5,
-            upper - difference * (1.0 - gamma),
-            lower + difference * gamma,
+
+    ranks: np.ndarray
+    values: np.ndarray
+    offsets: np.ndarray
+    patterns: np.ndarray
+    user_pattern: np.ndarray
+
+    @classmethod
+    def from_columns(
+        cls, columns: Sequence[np.ndarray], member: np.ndarray
+    ) -> "RankTable":
+        """Build the table from an ``(N, users)`` membership mask and its columns.
+
+        ``columns[k]`` holds, in row order, the samples of the users whose
+        ``member[k]`` is set.
+        """
+        width, n_users = member.shape
+        dtype = np.int16 if n_users < np.iinfo(np.int16).max else np.int32
+        ranks = np.full((width, n_users), n_users, dtype=dtype)
+        ordered = [np.sort(column) for column in columns]
+        for k, (column, sorted_column) in enumerate(zip(columns, ordered)):
+            ranks[k, member[k]] = np.searchsorted(sorted_column, column, side="left")
+        sizes = np.array([column.size for column in ordered], dtype=np.int64)
+        patterns, user_pattern = np.unique(member.T, axis=0, return_inverse=True)
+        return cls(
+            ranks=ranks,
+            values=np.concatenate([*ordered, [np.nan]]),
+            offsets=np.cumsum(sizes) - sizes,
+            patterns=patterns.T.astype(np.int64),
+            user_pattern=user_pattern.reshape(-1),
         )
-        results[position] = np.where(counts == 0, np.nan, interpolated).T
-    return results
+
+    def resample_quantiles(
+        self, indices: np.ndarray, q_percents: Sequence[float]
+    ) -> np.ndarray:
+        """Per-replicate ``nanpercentile`` over an ``(R, draws)`` index matrix.
+
+        Returns ``(len(q_percents), R, N)``, bit-identical to
+        :func:`numpy.nanpercentile` (``axis=0``) on each ``matrix[indices[r]]``:
+        a fresh ``(N, R, draws)`` block of rank lanes is gathered and sorted in
+        place, and min-ranks sort as their floats do and decode to exactly the
+        float at each sorted position.  The interpolation is NumPy's, with the
+        ``gamma >= 0.5`` branch of its ``_lerp``.
+        """
+        indices = np.asarray(indices)
+        if indices.ndim != 2:
+            raise ModelError("resample_quantiles expects a 2-D (R, draws) index matrix")
+        quantiles = np.asarray([float(q) for q in q_percents], dtype=float) / 100.0
+        replicates, draws = indices.shape
+        width, n_patterns = self.patterns.shape
+        lanes = self.ranks.take(indices.reshape(-1), axis=1).reshape(
+            width, replicates, draws
+        )
+        lanes.sort(axis=-1)  # in place; the missing-cell sentinel sorts last
+        keys = self.user_pattern.take(indices)
+        keys += n_patterns * np.arange(replicates)[:, None]  # an id range per replicate
+        histogram = np.bincount(keys.reshape(-1), minlength=replicates * n_patterns)
+        counts = self.patterns @ histogram.reshape(replicates, n_patterns).T  # (N, R)
+        top = counts - 1  # position of the largest valid entry
+
+        def decode(positions: np.ndarray) -> np.ndarray:
+            # Only an all-missing lane reads its sentinel: clipped, then masked.
+            at = np.maximum(positions, 0)[..., None]
+            ranks = np.take_along_axis(lanes, at, axis=-1)[..., 0]
+            return self.values.take(self.offsets[:, None] + ranks, mode="clip")
+
+        results = np.empty((quantiles.size, replicates, width))
+        for position, quantile in enumerate(quantiles):
+            virtual = quantile * top
+            previous = np.floor(virtual)
+            gamma = virtual - previous
+            low = previous.astype(np.int64)
+            high = low + 1
+            at_top = virtual >= top
+            low = np.where(at_top, top, low)
+            high = np.where(at_top, top, high)
+            lower, upper = decode(low), decode(high)
+            difference = upper - lower
+            interpolated = np.where(
+                gamma >= 0.5,
+                upper - difference * (1.0 - gamma),
+                lower + difference * gamma,
+            )
+            results[position] = np.where(counts == 0, np.nan, interpolated).T
+        return results
 
 
 @dataclass(frozen=True)
@@ -206,11 +248,10 @@ class StreamedAudienceSamples:
     Holds, for every interest count ``N``, the compact vector of valid
     samples (users with at least ``N`` interests, in panel-row order) plus
     each user's prefix length — never the dense users x N matrix.  The
-    quantile interface (:meth:`vas_many`) and the bootstrap's lane-major
-    gather (:meth:`gather_lanes`) are bit-identical to their dense
+    quantile interface (:meth:`vas_many`) and the bootstrap's
+    :meth:`rank_table` are bit-identical to their dense
     :class:`AudienceSamples` counterparts: the compact column equals the
-    dense column with its ``NaN`` tail removed, and a gathered lane block
-    reconstructs exactly ``np.moveaxis(matrix[indices], -1, 0)``.
+    dense column with its ``NaN`` tail removed.
     """
 
     #: Per-column compact sample vectors, column k holding the samples of
@@ -275,71 +316,27 @@ class StreamedAudienceSamples:
                 result[:, k] = np.percentile(column, qs)
         return result
 
-    def gather_lanes(self, row_indices: np.ndarray) -> np.ndarray:
-        """Reconstruct ``AudienceSamples.gather_lanes`` from the column store.
+    def rank_table(self) -> RankTable:
+        """The bootstrap's :class:`RankTable`, built once from the column store.
 
-        The result is the same fresh C-contiguous ``(N, *row_indices.shape)``
-        block the dense store returns (transient, sized by the caller's
-        chunking) — the full matrix itself is never built.  The gather is
-        fused: a lane-major position table maps every (column, user) cell to
-        its offset in the concatenated column values (with one trailing
-        ``NaN`` sentinel for the cells past each user's prefix), so a block
-        is one take along the table's user axis plus one value-take — no
-        per-column Python loop, no per-call rank recomputation.  Within
-        column ``k`` the sample of user ``u`` sits at position ``rank_k(u)``,
-        the number of earlier rows with more than ``k`` valid samples; the
-        table bakes those ranks in once and is reused by every subsequent
-        gather (the bootstrap calls this per replicate chunk).
+        Bit-identical to the dense matrix's table: the membership mask
+        follows from ``row_counts`` and each compact column is exactly the
+        dense column with its ``NaN`` tail removed, so the users x N
+        matrix is never built.
         """
-        indices = np.asarray(row_indices, dtype=np.intp)
-        values, positions = self._gather_table()
-        gathered = values[positions.take(indices.reshape(-1), axis=1)]
-        return gathered.reshape(self.max_interests, *indices.shape)
-
-    def _gather_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The fused-gather lookup: (extended values, per-cell positions).
-
-        Built lazily once per store.  The table is lane-major:
-        ``positions[k, u]`` indexes the concatenated column values, or the
-        trailing ``NaN`` sentinel when user ``u`` has no sample for column
-        ``k``, so each column's positions are contiguous and a gather writes
-        whole lanes.  The table costs ``max_interests × n_users``
-        int32/intp cells — a deliberate memory-for-time trade that is still
-        well below the dense float matrix and is amortised across every
-        bootstrap chunk.
-        """
-        cached = self.__dict__.get("_gather_cache")
+        cached = self.__dict__.get("_rank_table")
         if cached is None:
-            width = self.max_interests
-            sizes = np.fromiter(
-                (column.size for column in self.columns), dtype=np.int64, count=width
-            )
-            total = int(sizes.sum())
-            offsets = np.zeros(width, dtype=np.int64)
-            np.cumsum(sizes[:-1], out=offsets[1:])
-            member = np.arange(width)[:, None] < self.row_counts[None, :]
-            ranks = np.cumsum(member, axis=1) - 1
-            dtype = np.int32 if total + 1 <= np.iinfo(np.int32).max else np.intp
-            positions = np.where(
-                member, ranks + offsets[:, None], total
-            ).astype(dtype, copy=False)
-            values = np.empty(total + 1, dtype=float)
-            cursor = 0
-            for column in self.columns:
-                values[cursor : cursor + column.size] = column
-                cursor += column.size
-            values[total] = np.nan
-            cached = (values, positions)
-            object.__setattr__(self, "_gather_cache", cached)
+            member = np.arange(self.max_interests)[:, None] < self.row_counts[None, :]
+            cached = RankTable.from_columns(self.columns, member)
+            object.__setattr__(self, "_rank_table", cached)
         return cached
 
     def to_samples(self) -> AudienceSamples:
         """Materialise the dense :class:`AudienceSamples` (debug/parity aid)."""
-        return AudienceSamples(
-            matrix=self.gather_lanes(np.arange(self.n_users)).T.copy(),
-            floor=self.floor,
-            user_ids=self.user_ids,
-        )
+        matrix = np.full((self.n_users, self.max_interests), np.nan)
+        for k, column in enumerate(self.columns):
+            matrix[self.row_counts > k, k] = column
+        return AudienceSamples(matrix=matrix, floor=self.floor, user_ids=self.user_ids)
 
 
 class AudienceAccumulator:

@@ -258,40 +258,31 @@ class TestFitVasManyParity:
             fit_vas_many(matrix, floor=0)
 
 
-class TestMaskedColumnQuantiles:
+class TestRankLaneQuantiles:
     def test_matches_nanpercentile_bitwise(self):
-        from repro.core.quantiles import masked_column_quantiles
-
         rng = np.random.default_rng(17)
         for _ in range(25):
-            shape = (
-                int(rng.integers(1, 5)),
-                int(rng.integers(1, 30)),
-                int(rng.integers(1, 8)),
-            )
-            stack = rng.normal(0.0, 50.0, size=shape)
-            stack[rng.random(size=shape) < rng.random() * 0.8] = np.nan
+            users, width = int(rng.integers(1, 30)), int(rng.integers(1, 8))
+            matrix = rng.normal(0.0, 50.0, size=(users, width))
+            matrix[rng.random(size=matrix.shape) < rng.random() * 0.8] = np.nan
+            indices = rng.integers(0, users, size=(int(rng.integers(1, 5)), users))
             qs = sorted(rng.uniform(1.0, 99.0, size=3))
-            lanes = np.ascontiguousarray(np.moveaxis(stack, 2, 0))  # (N, R, U)
-            ours = masked_column_quantiles(lanes, qs)
+            table = AudienceSamples(matrix=matrix, floor=20).rank_table()
+            ours = table.resample_quantiles(indices, qs)
             import warnings
 
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 reference = np.stack(
-                    [
-                        np.nanpercentile(stack[i], qs, axis=0)
-                        for i in range(shape[0])
-                    ],
+                    [np.nanpercentile(matrix[row], qs, axis=0) for row in indices],
                     axis=1,
-                ).reshape(len(qs), shape[0], shape[2])
+                )
             assert np.array_equal(ours, reference, equal_nan=True)
 
-    def test_rejects_non_3d_input(self):
-        from repro.core.quantiles import masked_column_quantiles
-
+    def test_rejects_non_2d_indices(self):
+        table = AudienceSamples(matrix=np.ones((3, 4)), floor=20).rank_table()
         with pytest.raises(ModelError):
-            masked_column_quantiles(np.zeros((3, 4)), [50.0])
+            table.resample_quantiles(np.zeros(3, dtype=int), [50.0])
 
 
 class TestBootstrapVectorised:

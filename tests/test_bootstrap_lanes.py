@@ -1,10 +1,11 @@
-"""The lane-major bootstrap: its quantile kernel, both gathers and the routes.
+"""The rank-coded bootstrap: its quantile kernel, both rank tables and the routes.
 
-``masked_column_quantiles`` is driven against a per-lane ``nanpercentile``
-oracle on random ragged blocks; ``bootstrap_cutpoints`` is checked on the
-dense store, the streamed store and a thread executor against the
-per-replicate ``nanpercentile`` + ``fit_vas`` loop it replaced, and a
-sha256 golden pins its exact output for one fixed matrix and seed.
+``RankTable.resample_quantiles`` is driven against a per-lane
+``nanpercentile`` oracle on random ragged matrices and resamples;
+``bootstrap_cutpoints`` is checked on the dense store, the streamed store
+and a thread executor (and on both stores at the ``int32`` rank width)
+against the per-replicate ``nanpercentile`` + ``fit_vas`` loop it replaced,
+and a sha256 golden pins its exact output for one fixed matrix and seed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.core import (
     fit_vas,
     percentile_interval,
 )
-from repro.core.quantiles import masked_column_quantiles
 from repro.errors import ModelError
 from repro.exec import ShardExecutor
 
@@ -33,20 +33,25 @@ QS = (50.0, 80.0, 90.0, 95.0)
 
 #: sha256 of ``bootstrap_cutpoints(_golden_samples(), QS, n_bootstrap=300,
 #: seed=11)`` (the four arrays' bytes in ``QS`` order), recorded from the
-#: replicate-major kernel this one replaced.
+#: replicate-major float kernel, two kernels before the rank-coded one.
 GOLDEN_SHA256 = "bc6827a70e34051ab2f429dbea164f503d1d21d0f52b63f899a9a34dc2b82293"
+
+
+def _prefix_samples(n_users: int, width: int, seed: int) -> AudienceSamples:
+    """Floored samples with ragged, prefix-shaped ``NaN`` tails."""
+    rng = np.random.default_rng(seed)
+    base = 10.0 ** (7.5 - 6.5 * np.log10(np.arange(1, width + 1) + 1.0))
+    matrix = np.maximum(
+        base[None, :] * 10.0 ** rng.normal(0.0, 0.4, size=(n_users, width)), 20.0
+    )
+    counts = rng.integers(1, width + 1, size=n_users)
+    matrix[np.arange(width)[None, :] >= counts[:, None]] = np.nan
+    return AudienceSamples(matrix=matrix, floor=20)
 
 
 def _golden_samples() -> AudienceSamples:
     """90 users x 25 interests with prefix-shaped NaN tails and floored values."""
-    rng = np.random.default_rng(2021)
-    base = 10.0 ** (7.5 - 6.5 * np.log10(np.arange(1, 26) + 1.0))
-    matrix = np.maximum(
-        base[None, :] * 10.0 ** rng.normal(0.0, 0.4, size=(90, 25)), 20.0
-    )
-    counts = rng.integers(1, 26, size=90)
-    matrix[np.arange(25)[None, :] >= counts[:, None]] = np.nan
-    return AudienceSamples(matrix=matrix, floor=20)
+    return _prefix_samples(n_users=90, width=25, seed=2021)
 
 
 def _lane_oracle(lanes: np.ndarray, qs) -> np.ndarray:
@@ -79,74 +84,115 @@ def _scalar_bootstrap_reference(samples, qs, n_bootstrap: int, seed: int):
     return {q: np.asarray(values, dtype=float) for q, values in results.items()}
 
 
+def _assert_same_table(left, right) -> None:
+    for field in ("ranks", "values", "offsets", "patterns", "user_pattern"):
+        a, b = getattr(left, field), getattr(right, field)
+        assert a.dtype == b.dtype, field
+        assert np.array_equal(a, b, equal_nan=True), field
+
+
 @st.composite
-def lane_blocks(draw):
-    """Random ``(N, R, U)`` lane blocks with ragged, prefix or tied NaN layouts."""
+def resample_blocks(draw):
+    """A ``users x N`` matrix (ragged, prefix or tied layout) and resample draws."""
     width = draw(st.integers(1, 6))
-    replicates = draw(st.integers(1, 4))
     users = draw(st.integers(1, 12))
+    replicates = draw(st.integers(1, 4))
+    draws = draw(st.integers(1, 12))
     layout = draw(st.sampled_from(["ragged", "prefix", "floor_ties"]))
     nan_share = draw(st.floats(0.0, 1.0))
     all_nan_share = draw(st.floats(0.0, 0.5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    lanes = np.round(rng.lognormal(4.0, 2.0, size=(width, replicates, users)), 1)
+    matrix = np.round(rng.lognormal(4.0, 2.0, size=(users, width)), 1)
     if layout == "ragged":
-        lanes[rng.random(lanes.shape) < nan_share] = np.nan
+        matrix[rng.random(matrix.shape) < nan_share] = np.nan
     elif layout == "prefix":
-        # each resampled user keeps a leading run of N values
-        counts = rng.integers(0, width + 1, size=(replicates, users))
-        lanes[np.arange(width)[:, None, None] >= counts[None, :, :]] = np.nan
+        # each user keeps a leading run of N values
+        counts = rng.integers(0, width + 1, size=users)
+        matrix[np.arange(width)[None, :] >= counts[:, None]] = np.nan
     else:
-        # many lanes entirely at the reporting floor, the rest partly
-        lanes[rng.random(lanes.shape[:2]) < 0.6] = 20.0
-        lanes[rng.random(lanes.shape) < nan_share / 2] = 20.0
-    lanes[rng.random(lanes.shape[:2]) < all_nan_share] = np.nan
+        # many users entirely at the reporting floor, the rest partly
+        matrix[rng.random(users) < 0.6] = 20.0
+        matrix[rng.random(matrix.shape) < nan_share / 2] = 20.0
+    matrix[:, rng.random(width) < all_nan_share] = np.nan
+    indices = rng.integers(0, users, size=(replicates, draws))
     qs = draw(
         st.lists(st.floats(0.5, 99.5), min_size=1, max_size=4).map(sorted)
     )
-    return lanes, qs
+    return matrix, indices, qs
+
+
+_FLOOR_TIES = np.full((40, 5), 20.0)
+_FLOOR_TIES[::7, :2] = [150.5, 33.0]
+_FLOOR_TIES[30:, 3:] = np.nan
 
 
 class TestLaneKernelProperties:
     @settings(max_examples=150, deadline=None)
-    @given(block=lane_blocks())
-    @example(block=(np.array([[[7.0]]]), [50.0]))  # one user, one replicate
-    @example(block=(np.full((3, 2, 5), np.nan), [10.0, 90.0]))  # counts == 0
-    @example(block=(np.full((4, 3, 9), 20.0), [50.0, 95.0]))  # all at the floor
+    @given(block=resample_blocks())
+    @example(block=(np.array([[7.0]]), np.array([[0]]), [50.0]))  # one user
+    @example(  # one user drawn repeatedly, with a NaN tail
+        block=(np.array([[9.0, 3.0, np.nan]]), np.zeros((2, 5), int), [25.0, 99.0])
+    )
+    @example(  # counts == 0: every lane all-NaN
+        block=(np.full((5, 3), np.nan), np.arange(10).reshape(2, 5) % 5, [10.0, 90.0])
+    )
+    @example(block=(np.full((9, 4), 20.0), np.ones((3, 9), int), [50.0, 95.0]))
+    @example(  # floor-dominated lanes with heavy ties and ragged tails
+        block=(
+            _FLOOR_TIES,
+            np.random.default_rng(3).integers(0, 40, size=(4, 40)),
+            [50.0, 80.0, 90.0, 95.0],
+        )
+    )
     def test_matches_per_lane_nanpercentile(self, block):
-        lanes, qs = block
-        reference = _lane_oracle(lanes, qs)
-        owned = lanes.copy()
-        ours = masked_column_quantiles(owned, qs)
-        assert ours.shape == (len(qs), lanes.shape[1], lanes.shape[0])
+        matrix, indices, qs = block
+        reference = _lane_oracle(np.moveaxis(matrix[indices], -1, 0), qs)
+        table = AudienceSamples(matrix=matrix, floor=20).rank_table()
+        ours = table.resample_quantiles(indices, qs)
+        assert ours.shape == (len(qs), indices.shape[0], matrix.shape[1])
         assert np.array_equal(ours, reference, equal_nan=True)
-        # the kernel sorts the caller's block in place along the lanes
-        assert np.array_equal(owned, np.sort(lanes, axis=-1), equal_nan=True)
+        valid = ~np.isnan(matrix)
+        prefix = np.arange(matrix.shape[1])[None, :] < valid.sum(axis=1)[:, None]
+        if np.array_equal(valid, prefix):  # the streamed store needs prefix rows
+            streamed = AudienceAccumulator().update(AudienceSamples(matrix, 20))
+            _assert_same_table(streamed.finalize().rank_table(), table)
 
 
 class TestLaneGathers:
     def test_dense_gather_is_contiguous_moveaxis(self):
+        """The rank table is the matrix, lane-major, with ranks in place of samples."""
         samples = _golden_samples()
-        indices = np.random.default_rng(4).integers(0, samples.n_users, (3, 90))
-        lanes = samples.gather_lanes(indices)
-        assert lanes.shape == (25, 3, 90)
-        assert lanes.flags.c_contiguous
-        assert np.array_equal(
-            lanes, np.moveaxis(samples.matrix[indices], -1, 0), equal_nan=True
-        )
+        table = samples.rank_table()
+        assert table.ranks.shape == (25, 90)
+        assert table.ranks.flags.c_contiguous
+        assert table.ranks.dtype == np.int16
+        lanes = samples.matrix.T
+        missing = np.isnan(lanes)
+        assert np.array_equal(missing, table.ranks == samples.n_users)
+        decoded = table.values[(table.offsets[:, None] + table.ranks)[~missing]]
+        assert np.array_equal(decoded, lanes[~missing])
+        for k, lane in enumerate(lanes):
+            present = lane[~missing[k]]
+            assert np.array_equal(
+                table.ranks[k][~missing[k]],
+                (present[:, None] > present[None, :]).sum(axis=1),
+            )
 
     def test_gathers_return_fresh_blocks(self):
+        """The kernel sorts a fresh gather: the cached table stays untouched."""
         samples = _golden_samples()
         streamed = AudienceAccumulator().update(samples).finalize()
         indices = np.arange(samples.n_users)[None, :]
         for store in (samples, streamed):
-            first = store.gather_lanes(indices)
-            first.sort(axis=-1)
+            table = store.rank_table()
+            assert store.rank_table() is table
+            before = table.ranks.copy()
+            first = table.resample_quantiles(indices, QS)
+            assert np.array_equal(table.ranks, before)
             assert np.array_equal(
-                store.gather_lanes(indices),
-                samples.matrix.T[:, None, :],
-                equal_nan=True,
+                table.resample_quantiles(indices, QS), first, equal_nan=True
             )
+        _assert_same_table(streamed.rank_table(), samples.rank_table())
 
 
 class TestBootstrapRoutes:
@@ -175,6 +221,29 @@ class TestBootstrapRoutes:
         produced = bootstrap_cutpoints(samples, QS, n_bootstrap=300, seed=11)
         digest = hashlib.sha256(b"".join(produced[q].tobytes() for q in QS))
         assert digest.hexdigest() == GOLDEN_SHA256
+
+
+class TestInt32RankPath:
+    """Past 2**15 - 1 users the ranks (and the cast draws) widen to int32."""
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        return _prefix_samples(n_users=2**15 + 40, width=5, seed=7)
+
+    @pytest.mark.parametrize("route", ["dense", "streamed"])
+    def test_matches_scalar_reference(self, samples, route):
+        store = samples
+        if route == "streamed":
+            store = AudienceAccumulator().update(samples).finalize()
+        assert store.rank_table().ranks.dtype == np.int32
+        produced = bootstrap_cutpoints(store, QS, n_bootstrap=3, seed=9)
+        reference = _scalar_bootstrap_reference(samples, QS, n_bootstrap=3, seed=9)
+        for q in QS:
+            assert np.array_equal(produced[q], reference[q], equal_nan=True)
+
+    def test_streamed_table_matches_dense(self, samples):
+        streamed = AudienceAccumulator().update(samples).finalize()
+        _assert_same_table(streamed.rank_table(), samples.rank_table())
 
 
 class TestBootstrapValidation:

@@ -11,6 +11,8 @@ dense matrix without ever materialising it.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -299,16 +301,14 @@ class TestCollectStream:
         assert np.array_equal(
             streamed.vas_many(qs), ref_samples.vas_many(qs), equal_nan=True
         )
-        rng = np.random.default_rng(5)
-        idx = rng.integers(0, ref_samples.n_users, size=(4, ref_samples.n_users))
-        assert np.array_equal(
-            streamed.gather_lanes(idx),
-            np.moveaxis(ref_samples.matrix[idx], -1, 0),
-            equal_nan=True,
-        )
-        assert np.array_equal(
-            streamed.gather_lanes(idx), ref_samples.gather_lanes(idx), equal_nan=True
-        )
+        streamed_table, dense_table = streamed.rank_table(), ref_samples.rank_table()
+        for field in ("ranks", "values", "offsets", "patterns", "user_pattern"):
+            assert np.array_equal(
+                getattr(streamed_table, field),
+                getattr(dense_table, field),
+                equal_nan=True,
+            )
+        assert streamed_table.ranks.dtype == dense_table.ranks.dtype
         assert np.array_equal(
             streamed.to_samples().matrix, ref_samples.matrix, equal_nan=True
         )
@@ -612,7 +612,7 @@ class TestShardedBootstrap:
 
 
 class TestFusedStreamedGather:
-    """StreamedAudienceSamples.gather_lanes: the single-take gather kernel."""
+    """StreamedAudienceSamples.rank_table: the bootstrap's gather table."""
 
     @pytest.fixture(scope="class")
     def stores(self, simulation):
@@ -626,34 +626,52 @@ class TestFusedStreamedGather:
         )
         return dense, streamed
 
+    @staticmethod
+    def _reference(matrix, indices, qs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return np.stack(
+                [np.nanpercentile(matrix[row], qs, axis=0) for row in indices], axis=1
+            )
+
     def test_row_blocks_match_dense_matrix(self, stores):
         dense, streamed = stores
         rng = np.random.default_rng(5)
-        for shape in ((4,), (3, 5), (2, 3, 4)):
+        qs = [25.0, 50.0, 90.0, 95.0]
+        for shape in ((1, 4), (3, 5), (2, dense.n_users)):
             indices = rng.integers(0, dense.n_users, size=shape)
-            lanes = streamed.gather_lanes(indices)
-            assert lanes.flags.c_contiguous
+            ours = streamed.rank_table().resample_quantiles(indices, qs)
             assert np.array_equal(
-                lanes, np.moveaxis(dense.matrix[indices], -1, 0), equal_nan=True
+                ours, self._reference(dense.matrix, indices, qs), equal_nan=True
             )
-            assert np.array_equal(lanes, dense.gather_lanes(indices), equal_nan=True)
+            assert np.array_equal(
+                ours,
+                dense.rank_table().resample_quantiles(indices, qs),
+                equal_nan=True,
+            )
 
     def test_repeated_and_full_gathers(self, stores):
         dense, streamed = stores
-        everyone = np.arange(dense.n_users)
+        everyone = np.arange(dense.n_users)[None, :]
+        qs = [10.0, 50.0, 99.0]
+        table = streamed.rank_table()
         assert np.array_equal(
-            streamed.gather_lanes(everyone), dense.matrix.T, equal_nan=True
+            table.resample_quantiles(everyone, qs)[:, 0],
+            dense.vas_many(qs),
+            equal_nan=True,
         )
         # the cached table serves every subsequent gather
         assert np.array_equal(
-            streamed.gather_lanes(everyone[::-1]), dense.matrix[::-1].T, equal_nan=True
+            table.resample_quantiles(everyone[:, ::-1], qs),
+            self._reference(dense.matrix, everyone[:, ::-1], qs),
+            equal_nan=True,
         )
 
     def test_gather_table_is_cached(self, stores):
-        _, streamed = stores
-        streamed.gather_lanes(np.array([0]))
-        first = streamed._gather_table()
-        assert streamed._gather_table() is first
+        dense, streamed = stores
+        for store in (dense, streamed):
+            first = store.rank_table()
+            assert store.rank_table() is first
 
 
 class TestShardedRiskReports:
