@@ -21,6 +21,7 @@ from repro.adsapi import TargetingSpec
 from repro.analysis import format_table
 from repro.core import LeastPopularSelection
 from repro.fdvt import FDVTExtension
+from repro.population import PanelColumns
 from repro.scenarios import get_scenario, run_scenario
 
 
@@ -28,9 +29,10 @@ def audience_of_rarest_interests(simulation, user, n_interests: int = 3) -> int:
     """Potential Reach of the user's N rarest interests (attacker's view)."""
     from repro.reach import country_codes
 
-    ordered = LeastPopularSelection().order_interests(
-        user, simulation.catalog, n_interests
+    ids, counts = LeastPopularSelection().order_interests_matrix_columns(
+        PanelColumns.from_users((user,)), simulation.catalog, n_interests
     )
+    ordered = ids[0, : counts[0]].tolist()
     spec = TargetingSpec.for_interests(ordered, locations=country_codes())
     return simulation.uniqueness_api.estimate_reach(spec).potential_reach
 

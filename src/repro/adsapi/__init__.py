@@ -8,7 +8,6 @@ from .ratelimit import TokenBucket
 from .reachestimate import (
     ReachEstimate,
     apply_reporting_floor,
-    apply_reporting_floor_batch,
     apply_reporting_floor_matrix,
 )
 from .targeting import TargetingSpec
@@ -30,7 +29,6 @@ __all__ = [
     "TargetingSpec",
     "TokenBucket",
     "apply_reporting_floor",
-    "apply_reporting_floor_batch",
     "apply_reporting_floor_matrix",
     "hash_pii",
     "validate_spec",

@@ -36,7 +36,6 @@ from .ratelimit import TokenBucket
 from .reachestimate import (
     ReachEstimate,
     apply_reporting_floor,
-    apply_reporting_floor_batch,
     apply_reporting_floor_matrix,
 )
 from .targeting import TargetingSpec
@@ -173,58 +172,6 @@ class AdsManagerAPI:
         self._counters.reach_estimates += 1
         return apply_reporting_floor(raw, self._platform.reach_floor)
 
-    def estimate_reach_batch(
-        self, specs: Sequence[TargetingSpec]
-    ) -> tuple[ReachEstimate, ...]:
-        """Potential Reach for many targeting specs in one call.
-
-        Returns exactly what looping :meth:`estimate_reach` over ``specs``
-        would return, but routes the audience computation through the
-        backend's batched kernel.  Every spec is validated and consumes one
-        rate-limit token, so on success ``call_stats`` and any
-        countermeasure accounting see the same traffic as the scalar loop.
-        Failure semantics are all-or-nothing, unlike the scalar loop:
-        validation happens up front (an invalid spec fails the batch before
-        any token is spent), and if the batch aborts midway — e.g. a
-        rate-limit error with ``auto_wait=False``, or a backend error in a
-        later group — no estimates are returned or counted, although
-        tokens already consumed stay spent (as with any aborted burst).
-
-        Specs are grouped by ``(locations, combine)``; within a group,
-        consecutive AND-specs that extend each other by one interest (the
-        prefix families issued by the audience-size collector) are resolved
-        by a single O(N) prefix-kernel call.
-        """
-        specs = list(specs)
-        if not specs:
-            return ()
-        self._account.ensure_active()
-        for spec in specs:
-            validate_spec(spec, self._platform)
-        for _ in specs:
-            self._throttle()
-        raw = np.empty(len(specs), dtype=float)
-        groups: dict[tuple, list[int]] = {}
-        for index, spec in enumerate(specs):
-            if spec.uses_custom_audience:
-                raw[index] = self._raw_audience(spec)
-            else:
-                key = (spec.effective_locations(), spec.interest_combine)
-                groups.setdefault(key, []).append(index)
-        for (locations, combine), indices in groups.items():
-            combinations = [specs[i].interests for i in indices]
-            batch = getattr(self._backend, "audience_for_batch", None)
-            if batch is not None:
-                values = batch(combinations, locations, combine=combine)
-            else:
-                values = [
-                    self._backend.audience_for(c, locations, combine=combine)
-                    for c in combinations
-                ]
-            raw[indices] = values
-        self._counters.reach_estimates += len(specs)
-        return apply_reporting_floor_batch(raw, self._platform.reach_floor)
-
     def estimate_reach_matrix(
         self,
         id_matrix: np.ndarray,
@@ -239,16 +186,16 @@ class AdsManagerAPI:
         of one user (padding beyond that is ignored), and cell ``(u, k)`` of
         the returned float matrix is the Potential Reach the dashboard would
         display for the audience of ``id_matrix[u, :k + 1]`` — bit-identical
-        to the value :meth:`estimate_reach_batch` / :meth:`estimate_reach`
-        report for the corresponding :class:`TargetingSpec`, with ``NaN``
-        beyond ``counts[u]``.  No ``TargetingSpec`` or
-        :class:`ReachEstimate` objects are materialised; validation
-        (interest cap, non-negative dup-free rows, one shared location
-        list), reporting-floor clipping and rate-limit accounting all run
-        vectorised over the matrix.
+        to the value :meth:`estimate_reach` reports for the corresponding
+        :class:`TargetingSpec`, with ``NaN`` beyond ``counts[u]``.  No
+        ``TargetingSpec`` or :class:`ReachEstimate` objects are
+        materialised; validation (interest cap, non-negative dup-free rows,
+        one shared location list), reporting-floor clipping and rate-limit
+        accounting all run vectorised over the matrix.
 
-        Every cell consumes one rate-limit token, exactly like the
-        per-spec paths, and increments ``call_stats().reach_estimates``.
+        Every cell consumes one rate-limit token, exactly like one
+        :meth:`estimate_reach` call, and increments
+        ``call_stats().reach_estimates``.
         Tokens the bucket cannot cover immediately are paid with a single
         consolidated clock fast-forward (the sum of the per-request waits
         the scalar loop would have made); each such waited cell increments
@@ -378,15 +325,7 @@ class AdsManagerAPI:
         """
         ids = np.asarray(id_matrix, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
-        panel_kernel = getattr(self._backend, "prefix_audiences_panel", None)
-        if panel_kernel is not None:
-            raw = panel_kernel(ids, counts, locations)
-        else:
-            # Backends without a panel kernel get the protocol's per-row
-            # default, applied as an unbound method.
-            raw = ReachBackend.prefix_audiences_panel(
-                self._backend, ids, counts, locations
-            )
+        raw = self._backend.prefix_audiences_panel(ids, counts, locations)
         return apply_reporting_floor_matrix(raw, self._platform.reach_floor)
 
     def audience_warnings(self, spec: TargetingSpec) -> tuple[PolicyWarning, ...]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -52,37 +51,10 @@ def apply_reporting_floor(raw_audience: float, floor: int) -> ReachEstimate:
     return ReachEstimate(potential_reach=rounded, floor=floor, floored=False)
 
 
-def apply_reporting_floor_batch(
-    raw_audiences: Sequence[float] | np.ndarray, floor: int
-) -> tuple[ReachEstimate, ...]:
-    """Vectorised :func:`apply_reporting_floor` over many raw audiences.
-
-    Rounding uses round-half-to-even (``np.rint``), matching Python's
-    built-in :func:`round` used by the scalar path, so a batched estimate is
-    identical to the looped scalar estimates.
-    """
-    if floor < 1:
-        raise AdsApiError("floor must be at least 1")
-    raw = np.asarray(raw_audiences, dtype=float)
-    if raw.size and np.isnan(raw).any():
-        raise AdsApiError("raw_audience must not be NaN")
-    if raw.size and (raw < 0).any():
-        raise AdsApiError("raw_audience must be non-negative")
-    rounded = np.rint(raw).astype(np.int64)
-    floored = rounded < floor
-    reported = np.where(floored, floor, rounded)
-    return tuple(
-        ReachEstimate(
-            potential_reach=int(value), floor=floor, floored=bool(is_floored)
-        )
-        for value, is_floored in zip(reported, floored)
-    )
-
-
 def apply_reporting_floor_matrix(raw_matrix: np.ndarray, floor: int) -> np.ndarray:
     """Round and floor-clip a whole raw audience matrix in place-free form.
 
-    The matrix counterpart of :func:`apply_reporting_floor_batch` for the
+    The matrix counterpart of :func:`apply_reporting_floor` for the
     spec-free bulk endpoint: ``NaN`` cells (padding beyond a user's interest
     count) pass through untouched, every other cell is rounded with
     round-half-to-even and clipped to the reporting floor, so a valid cell

@@ -651,6 +651,17 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts that must be >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _format_bytes(count: int) -> str:
     """Human-readable byte count (binary units)."""
     size = float(count)
@@ -833,7 +844,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(fdvt)
     fdvt.add_argument("--user-id", type=int, default=None, help="panel user id to inspect")
     fdvt.add_argument("--min-interests", type=int, default=30)
-    fdvt.add_argument("--limit", type=int, default=15, help="rows to display")
+    fdvt.add_argument(
+        "--limit", type=_non_negative_int, default=15, help="rows to display"
+    )
     fdvt.set_defaults(handler=cmd_fdvt_report)
 
     countermeasures = subparsers.add_parser(

@@ -2,7 +2,7 @@
 
 from .attack import AttackAssessment, AttackPlan, AttackPlanner
 from .bootstrap import ConfidenceInterval, bootstrap_cutpoints, percentile_interval
-from .collection import COLLECT_MODES, AudienceSizeCollector
+from .collection import AudienceSizeCollector
 from .demographics import DemographicAnalysis, GroupEstimate
 from .fitting import LogLogFit, VASFitBatch, fit_vas, fit_vas_many, truncate_at_floor
 from .nanotargeting import (
@@ -34,7 +34,6 @@ __all__ = [
     "AudienceAccumulator",
     "AudienceSamples",
     "AudienceSizeCollector",
-    "COLLECT_MODES",
     "CampaignRecord",
     "ConfidenceInterval",
     "DemographicAnalysis",

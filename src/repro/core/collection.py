@@ -7,35 +7,28 @@ or random).  The collector reproduces that loop against the simulated API
 and arranges the results as the users x N matrix consumed by the quantile
 machinery.
 
-Three entry points produce bit-identical matrices and tiers of throughput:
+:meth:`AudienceSizeCollector.collect` resolves the whole panel's strategy
+ordering into one padded id matrix straight off the panel's CSR store
+(:meth:`~repro.core.selection.SelectionStrategy.order_interests_matrix_columns`)
+and issues a single spec-free :meth:`AdsManagerAPI.estimate_reach_matrix`
+call — the users × N measurement becomes a handful of array sweeps with no
+per-user Python round-trip.
 
-* ``mode="panel"`` (the default, and the supported bulk path) resolves the
-  whole panel's strategy ordering into one padded id matrix straight off
-  the panel's CSR store
-  (:func:`~repro.core.selection.ordered_interest_matrix_columns`) and issues a
-  single spec-free :meth:`AdsManagerAPI.estimate_reach_matrix` call — the
-  users × N measurement becomes a handful of array sweeps with no per-user
-  Python round-trip;
-* ``mode="batch"`` (the per-user tier, kept for parity benchmarking) issues
-  one batched prefix-chain query per user through
-  :meth:`AdsManagerAPI.estimate_reach_batch`;
-* ``mode="scalar"`` (the reference tier) loops one API call per (user, N)
-  cell.
-
-On top of the three tiers sits the sharded execution layer
-(:mod:`repro.exec`): :meth:`AudienceSizeCollector.collect_sharded` cuts the
-panel into contiguous row shards — each shard ordered, validated and
-kernel-evaluated independently, optionally on a thread or process pool —
-and :meth:`AudienceSizeCollector.collect_stream` yields the same per-shard
+On top of it sits the sharded execution layer (:mod:`repro.exec`):
+:meth:`AudienceSizeCollector.collect_sharded` cuts the panel into contiguous
+row shards — each shard ordered, validated and kernel-evaluated
+independently, optionally on a thread or process pool — and
+:meth:`AudienceSizeCollector.collect_stream` yields the same per-shard
 blocks as a generator so downstream accumulators never hold the full
-matrix.  Both are bit-identical to the panel tier for every backend, worker
-count and shard size: ordering and the prefix kernel are row-local, and the
-rate-limit bill of all shards is merged and settled in one accounting step,
-exactly like the fused ``estimate_reach_matrix`` call (pinned by
-``tests/test_exec_sharding.py``).
+matrix.  Both are bit-identical to :meth:`~AudienceSizeCollector.collect`
+for every backend, worker count and shard size: ordering and the prefix
+kernel are row-local, and the rate-limit bill of all shards is merged and
+settled in one accounting step, exactly like the fused
+``estimate_reach_matrix`` call (pinned by ``tests/test_exec_sharding.py``).
 
-Rate-limit / call-stats accounting sees one request per (user, N) cell on
-every tier; the panel tier settles the whole bill in one vectorised
+Rate-limit / call-stats accounting sees one request per (user, N) cell —
+the same traffic as one ``estimate_reach`` call per cell (the reference
+loop the parity tests compare against) — settled in one vectorised
 accounting step.
 """
 
@@ -46,17 +39,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..adsapi import AdsManagerAPI, CallBill, TargetingSpec
+from ..adsapi import AdsManagerAPI, CallBill
 from ..errors import ModelError
 from ..exec import ShardExecutor
 from ..exec.plan import Shard
 from ..exec.tasks import ReachShardTask, run_reach_shard, shard_backend_payload
 from ..fdvt.panel import FDVTPanel
 from .quantiles import AudienceSamples
-from .selection import SelectionStrategy, ordered_interest_matrix_columns
-
-#: Collection tiers, fastest first.
-COLLECT_MODES = ("panel", "batch", "scalar")
+from .selection import SelectionStrategy
 
 
 @dataclass(frozen=True)
@@ -98,63 +88,25 @@ class AudienceSizeCollector:
         """Largest number of interests combined per user."""
         return self._max_interests
 
-    def collect(
-        self,
-        strategy: SelectionStrategy,
-        *,
-        mode: str | None = None,
-    ) -> AudienceSamples:
+    def collect(self, strategy: SelectionStrategy) -> AudienceSamples:
         """Collect the full audience-size matrix for one selection strategy.
 
         Rows correspond to panel users (in panel order) and column ``k``
         to combinations of ``k + 1`` interests; entries are ``NaN`` when the
-        user has fewer interests than the column requires.  ``mode`` picks
-        the collection tier (``"panel"`` by default — see the module
-        docstring); all tiers return bit-identical matrices.
+        user has fewer interests than the column requires.
         """
-        mode = mode or "panel"
-        if mode not in COLLECT_MODES:
-            raise ModelError(f"unknown collection mode: {mode!r}")
         n_users = len(self._panel)
         matrix = np.full((n_users, self._max_interests), np.nan, dtype=float)
-        user_ids = self._user_ids()
-        if mode == "panel":
-            id_matrix, counts = self._ordered_matrix(strategy, 0, n_users)
-            if id_matrix.shape[1]:
-                values = self._api.estimate_reach_matrix(
-                    id_matrix, counts, locations=self._locations
-                )
-                matrix[:, : values.shape[1]] = values
-        else:
-            catalog = self._panel.catalog
-            for row, user in enumerate(self._panel):
-                ordered = strategy.order_interests(user, catalog, self._max_interests)
-                count = min(len(ordered), self._max_interests)
-                if count == 0:
-                    continue
-                if mode == "batch":
-                    # The chain constructor validates the longest spec once;
-                    # its prefixes are valid by construction.
-                    specs = TargetingSpec.prefix_chain(
-                        ordered[:count], locations=self._locations
-                    )
-                    estimates = self._api.estimate_reach_batch(specs)
-                    matrix[row, :count] = np.fromiter(
-                        (estimate.potential_reach for estimate in estimates),
-                        dtype=float,
-                        count=count,
-                    )
-                else:
-                    for n_interests in range(1, count + 1):
-                        spec = TargetingSpec.for_interests(
-                            ordered[:n_interests], locations=self._locations
-                        )
-                        estimate = self._api.estimate_reach(spec)
-                        matrix[row, n_interests - 1] = float(estimate.potential_reach)
+        id_matrix, counts = self._ordered_matrix(strategy, 0, n_users)
+        if id_matrix.shape[1]:
+            values = self._api.estimate_reach_matrix(
+                id_matrix, counts, locations=self._locations
+            )
+            matrix[:, : values.shape[1]] = values
         return AudienceSamples(
             matrix=matrix,
             floor=self._api.platform.reach_floor,
-            user_ids=user_ids,
+            user_ids=self._user_ids(),
         )
 
     def collect_sharded(
@@ -174,7 +126,7 @@ class AudienceSizeCollector:
         one step, and the pure kernel blocks run on the executor's runner
         (serial, thread pool or process pool).  The assembled samples,
         ``call_stats`` and token-bucket levels are bit-identical to
-        :meth:`collect` on the panel tier for every backend, worker count
+        :meth:`collect` for every backend, worker count
         and shard size.  Pass a prebuilt ``executor`` or the loose
         ``backend`` / ``workers`` / ``shard_size`` knobs (``backend``
         defaults to a thread pool when ``workers > 1``).
@@ -287,8 +239,7 @@ class AudienceSizeCollector:
         self, strategy: SelectionStrategy, start: int, stop: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Ordered id matrix for panel rows ``[start, stop)``, off the CSR store."""
-        return ordered_interest_matrix_columns(
-            strategy,
+        return strategy.order_interests_matrix_columns(
             self._panel.columns,
             self._panel.catalog,
             self._max_interests,
@@ -340,8 +291,6 @@ class AudienceSizeCollector:
         self,
         strategy: SelectionStrategy,
         user_ids: Sequence[int],
-        *,
-        mode: str | None = None,
     ) -> AudienceSamples:
         """Collect the matrix for a subset of panel users (demographic groups).
 
@@ -373,4 +322,4 @@ class AudienceSizeCollector:
             max_interests=self._max_interests,
             locations=self._locations,
         )
-        return collector.collect(strategy, mode=mode)
+        return collector.collect(strategy)

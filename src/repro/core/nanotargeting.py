@@ -231,31 +231,6 @@ class NanotargetingExperiment:
         rng.shuffle(interests)
         return nested_subsets(interests[:max_count], self._config.interest_counts)
 
-    def plan_audiences(
-        self, interest_sets: dict[int, tuple[int, ...]]
-    ) -> dict[int, float]:
-        """Raw audience of every planned campaign from one batched query.
-
-        All campaign interest sets of a target are prefixes of the largest
-        one (:meth:`plan_interest_sets` builds nested subsets), so a single
-        :meth:`~repro.reach.ReachBackend.prefix_audiences` kernel call
-        resolves every size — bit-identical to querying the backend once per
-        campaign, without the per-campaign Python round-trip.
-        """
-        if not interest_sets:
-            return {}
-        sizes = sorted(interest_sets)
-        longest = interest_sets[sizes[-1]]
-        for size in sizes:
-            if interest_sets[size] != longest[:size]:
-                raise ModelError(
-                    "interest sets must be nested prefixes of the largest set"
-                )
-        # Campaigns are worldwide (the experiment ran with the 2020
-        # platform), matching TargetingSpec.for_interests' default.
-        prefix = self._api.backend.prefix_audiences(longest, None)
-        return {size: float(prefix[size - 1]) for size in sizes}
-
     def plan_audiences_panel(
         self, interest_sets_per_target: Sequence[dict[int, tuple[int, ...]]]
     ) -> list[dict[int, float]]:
@@ -265,8 +240,11 @@ class NanotargetingExperiment:
         and resolves all campaign audiences with a single row-parallel
         prefix kernel call — the bulk kernel behind
         :meth:`~repro.adsapi.AdsManagerAPI.estimate_reach_matrix`, without
-        the reporting floor since delivery consumes raw audiences.  Row
-        ``t`` is bit-identical to :meth:`plan_audiences` for target ``t``.
+        the reporting floor since delivery consumes raw audiences.  All
+        campaign interest sets of a target are prefixes of the largest one
+        (:meth:`plan_interest_sets` builds nested subsets), so entry
+        ``[t][size]`` is bit-identical to querying the backend once for
+        that campaign.
         """
         plans = [dict(sets) for sets in interest_sets_per_target]
         if not plans:

@@ -10,21 +10,21 @@ of their interests are combined.  The paper studies two strategies:
   interests, the realistic attack scenario used in the nanotargeting
   experiment.
 
-Both strategies return a single *ordered* list per user whose length-``N``
+Both strategies give each user a single *ordered* list whose length-``N``
 prefixes are the combinations evaluated for each ``N``; this mirrors the
 paper's construction, where interests are added one by one ("we keep adding
 the following least popular interests sequentially one by one").
 
-For panel-scale collection, :func:`ordered_interest_matrix_columns`
-resolves the ordered ids of a row range of a
+A strategy has one method, ``order_interests_matrix_columns``: it resolves
+the ordered ids of a row range of a
 :class:`~repro.population.columnar.PanelColumns` CSR store into one padded
-``(n_users, width)`` id matrix, straight off the CSR arrays.  The
+``(n_rows, width)`` id matrix, straight off the CSR arrays.  The
 least-popular strategy orders every row in a single global sort over
-id-indexed catalog popularity arrays; the random strategy shuffles each
-CSR row slice with the per-user-id stream its scalar ordering derives; any
-other strategy gets its rows materialised one by one and looped through
-``order_interests``, so every strategy is panel-capable and every row is
-bit-identical to the scalar ordering.
+id-indexed catalog popularity arrays; the random strategy shuffles each CSR
+row slice with a stream derived from the strategy seed and the user id.
+Every row depends only on its own user, so any ``[start, stop)`` shard of a
+store orders exactly like the same rows of the whole store.  The per-user
+reference orderings these are pinned against live with the test suite.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ import numpy as np
 
 from .._rng import SeedLike, as_generator, derive_generator, stable_hash
 from ..catalog import InterestCatalog
-from ..errors import ModelError
+from ..errors import ModelError, UnknownInterestError
 from ..population.columnar import PanelColumns
-from ..population.user import SyntheticUser
 
 
 @runtime_checkable
@@ -47,10 +46,21 @@ class SelectionStrategy(Protocol):
     #: Short name used in reports ("least_popular" or "random").
     name: str
 
-    def order_interests(
-        self, user: SyntheticUser, catalog: InterestCatalog, max_interests: int
-    ) -> tuple[int, ...]:
-        """Return up to ``max_interests`` interest ids in combination order."""
+    def order_interests_matrix_columns(
+        self,
+        columns: PanelColumns,
+        catalog: InterestCatalog,
+        max_interests: int,
+        start: int = 0,
+        stop: int | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Ordered interest ids of CSR rows ``[start, stop)``.
+
+        Returns ``(id_matrix, counts)``: a ``(n_rows, width)`` int64 matrix
+        (``width = max(counts)``, capped at ``max_interests``) whose row
+        ``u`` holds the first ``counts[u]`` ids of row ``start + u`` in
+        combination order, padded with ``-1``.
+        """
         ...  # pragma: no cover - protocol definition
 
 
@@ -58,16 +68,6 @@ class LeastPopularSelection:
     """Selects the user's rarest interests first."""
 
     name = "least_popular"
-
-    def order_interests(
-        self, user: SyntheticUser, catalog: InterestCatalog, max_interests: int
-    ) -> tuple[int, ...]:
-        """Rarest interests of the user, ascending by worldwide audience."""
-        if max_interests < 1:
-            raise ModelError("max_interests must be >= 1")
-        audiences = [(catalog.audience_size(i), i) for i in user.interest_ids]
-        audiences.sort()
-        return tuple(interest_id for _, interest_id in audiences[:max_interests])
 
     def order_interests_matrix_columns(
         self,
@@ -77,14 +77,13 @@ class LeastPopularSelection:
         start: int = 0,
         stop: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`order_interests` over CSR rows ``[start, stop)``.
+        """Each row's rarest interests, ascending by ``(audience, id)``.
 
         The flat id fragment and per-row lengths come straight off the CSR
         arrays — no user objects.  Every id is resolved against the
         catalog's id-indexed audience array with one ``searchsorted`` and
-        ordered with one global ``lexsort`` keyed ``(row, audience, id)`` —
-        the same ``(audience, id)`` ascending order the scalar tuple sort
-        produces, so every row is bit-identical to the per-user path.
+        ordered with one global ``lexsort`` keyed ``(row, audience, id)``.
+        An id missing from the catalog raises :class:`UnknownInterestError`.
         """
         if max_interests < 1:
             raise ModelError("max_interests must be >= 1")
@@ -98,8 +97,7 @@ class LeastPopularSelection:
         positions = np.minimum(positions, len(sorted_ids) - 1)
         mismatched = sorted_ids[positions] != flat_ids
         if mismatched.any():
-            # Defer to the scalar path's error for the first offending id.
-            catalog.get(int(flat_ids[np.argmax(mismatched)]))
+            raise UnknownInterestError(int(flat_ids[np.argmax(mismatched)]))
         flat_audiences = catalog.all_audience_sizes()[positions]
         row_index = np.repeat(np.arange(len(full_counts)), full_counts)
         order = np.lexsort((flat_ids, flat_audiences, row_index))
@@ -121,16 +119,10 @@ class RandomSelection:
         rng = as_generator(seed)
         self._base_seed = int(rng.integers(0, 2**62))
 
-    def order_interests(
-        self, user: SyntheticUser, catalog: InterestCatalog, max_interests: int
-    ) -> tuple[int, ...]:
-        """A random permutation of the user's interests, truncated."""
-        if max_interests < 1:
-            raise ModelError("max_interests must be >= 1")
-        rng = derive_generator(self._base_seed, "random-selection", user.user_id)
-        interests = np.array(user.interest_ids, dtype=np.int64)
-        rng.shuffle(interests)
-        return tuple(int(i) for i in interests[:max_interests])
+    @property
+    def seed(self) -> int:
+        """The base seed every per-user shuffle stream derives from."""
+        return self._base_seed
 
     def order_interests_matrix_columns(
         self,
@@ -143,8 +135,8 @@ class RandomSelection:
         """Per-row shuffles over rows ``[start, stop)`` of a CSR store.
 
         Each row's slice is copied to int64 and shuffled with the stream
-        derived from its user id — the draw sequence depends only on the
-        row length, so it matches :meth:`order_interests` exactly.
+        derived from :attr:`seed` and its user id, then truncated to
+        ``max_interests``; the draw sequence depends only on the row length.
         """
         if max_interests < 1:
             raise ModelError("max_interests must be >= 1")
@@ -191,10 +183,10 @@ def pad_id_rows(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(id_matrix, counts)`` in the convention every bulk kernel
     consumes (``-1`` padding, ``width = max(counts)``; see
-    :func:`ordered_interest_matrix_columns`).  This is the entry point for
-    callers whose rows are already ordered — the countermeasure workload
-    evaluation, the nanotargeting planner and strategies without a CSR
-    hook — so the padding convention lives in one place.
+    :meth:`SelectionStrategy.order_interests_matrix_columns`).  This is the
+    entry point for callers whose rows are already ordered — the
+    countermeasure workload evaluation and the nanotargeting planner — so
+    the padding convention lives in one place.
     """
     counts = np.array([len(row) for row in rows], dtype=np.int64)
     flat = np.fromiter(
@@ -203,39 +195,6 @@ def pad_id_rows(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
         count=int(counts.sum()),
     )
     return _pack_ordered_rows(flat, counts, counts)
-
-
-def ordered_interest_matrix_columns(
-    strategy: SelectionStrategy,
-    columns: PanelColumns,
-    catalog: InterestCatalog,
-    max_interests: int,
-    start: int = 0,
-    stop: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered interest ids of rows ``[start, stop)`` as one padded id matrix.
-
-    Returns ``(id_matrix, counts)`` where ``id_matrix`` is a
-    ``(n_rows, width)`` int64 matrix (``width = max(counts)``, capped at
-    ``max_interests``), row ``u`` holds
-    ``strategy.order_interests(columns.user_at(start + u), catalog,
-    max_interests)`` in its first ``counts[u]`` cells and ``-1`` padding
-    beyond.  Built-in strategies consume the CSR slice directly via
-    ``order_interests_matrix_columns``; a strategy without that hook gets
-    its rows materialised one by one — rows are bit-identical either way.
-    """
-    if max_interests < 1:
-        raise ModelError("max_interests must be >= 1")
-    stop = len(columns) if stop is None else stop
-    column_order = getattr(strategy, "order_interests_matrix_columns", None)
-    if column_order is not None:
-        return column_order(columns, catalog, max_interests, start, stop)
-    return pad_id_rows(
-        [
-            strategy.order_interests(columns.user_at(row), catalog, max_interests)
-            for row in range(start, stop)
-        ]
-    )
 
 
 def nested_subsets(
@@ -264,5 +223,14 @@ def nested_subsets(
 
 
 def strategy_fingerprint(strategy: SelectionStrategy) -> int:
-    """A stable fingerprint used to cache collections per strategy."""
-    return stable_hash(type(strategy).__name__, getattr(strategy, "name", ""))
+    """A stable fingerprint used to cache collections per strategy.
+
+    Covers the strategy's type, name and — for seeded strategies — its
+    :attr:`~RandomSelection.seed`, so two random selections with different
+    seeds never share a cache entry.
+    """
+    return stable_hash(
+        type(strategy).__name__,
+        getattr(strategy, "name", ""),
+        getattr(strategy, "seed", None),
+    )

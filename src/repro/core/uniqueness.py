@@ -6,28 +6,24 @@ confidence intervals, and produces the :class:`UniquenessReport` rows of
 Table 1 plus the VAS(Q) curves of Figures 3-5.
 
 Both heavy stages run on the batched kernels: :meth:`UniquenessModel.collect`
-rides the collector's panel tier — one vectorised strategy-ordering pass
-plus one spec-free :meth:`~repro.adsapi.AdsManagerAPI.estimate_reach_matrix`
-call for the whole users × N matrix (the per-user
-:meth:`~repro.adsapi.AdsManagerAPI.estimate_reach_batch` and scalar tiers
-remain available through :class:`AudienceSizeCollector` for parity
-benchmarking) — and :meth:`UniquenessModel.estimate` computes its
-confidence intervals with the vectorised
-:func:`~repro.core.bootstrap.bootstrap_cutpoints`.  All tiers are
-bit-identical; the panel tier is several times faster again at paper scale
-(see ``benchmarks/bench_perf_hot_paths.py``).
+rides the collector's one path — one vectorised strategy-ordering pass plus
+one spec-free :meth:`~repro.adsapi.AdsManagerAPI.estimate_reach_matrix`
+call for the whole users × N matrix — and :meth:`UniquenessModel.estimate`
+computes its confidence intervals with the vectorised
+:func:`~repro.core.bootstrap.bootstrap_cutpoints`.
 
-On top of the tiers sits the sharded execution layer (:mod:`repro.exec`):
-pass a :class:`~repro.exec.ShardExecutor` to run collection shard-parallel
-(:meth:`UniquenessModel.collect` / :meth:`UniquenessModel.estimate` with
-``executor=...``), or set ``stream=True`` to run the whole collection →
-quantiles → bootstrap chain through the mergeable
-:class:`~repro.core.quantiles.AudienceAccumulator` without ever
-materialising the users × N sample matrix.  Every route returns
-bit-identical estimates.  Collected samples are cached per
-``(strategy, tier)`` — a refreshed panel-tier result is never silently
-served to a caller that asked for a different tier — and
-:meth:`UniquenessModel.cache_clear` drops the cache wholesale.
+Collection can also run through the sharded execution layer
+(:mod:`repro.exec`): pass a :class:`~repro.exec.ShardExecutor` to run it
+shard-parallel (:meth:`UniquenessModel.collect` /
+:meth:`UniquenessModel.estimate` with ``executor=...``), or set
+``stream=True`` to run the whole collection → quantiles → bootstrap chain
+through the mergeable :class:`~repro.core.quantiles.AudienceAccumulator`
+without ever materialising the users × N sample matrix.  Every route
+returns bit-identical estimates.  Collected samples are cached per
+``(strategy, route)`` — the fused pass, each shard plan and each streamed
+plan get their own entry, and the strategy key covers a random
+selection's seed — and :meth:`UniquenessModel.cache_clear` drops the cache
+wholesale.
 """
 
 from __future__ import annotations
@@ -94,33 +90,29 @@ class UniquenessModel:
         strategy: SelectionStrategy,
         *,
         refresh: bool = False,
-        mode: str | None = None,
         executor: ShardExecutor | None = None,
     ) -> AudienceSamples:
         """Collect (or return cached) audience samples for one strategy.
 
-        ``mode`` picks a collection tier (``"panel"`` by default) and
         ``executor`` routes collection through the sharded execution layer
-        instead; the two are mutually exclusive.  Results are cached per
-        ``(strategy, tier)``: all tiers return bit-identical samples, but a
-        caller that asked for a specific tier or shard plan never gets a
+        instead of the fused pass.  Results are cached per
+        ``(strategy, route)``: every route returns bit-identical samples,
+        but a caller that asked for a specific shard plan never gets a
         result silently served from a different one (and ``refresh`` only
-        refreshes its own tier's entry).
+        refreshes its own route's entry).
         """
-        if mode is not None and executor is not None:
-            raise ModelError("pass either mode or executor, not both")
         if executor is not None:
-            tier: tuple = ("sharded", *executor.fingerprint)
+            route: tuple = ("sharded", *executor.fingerprint)
         else:
-            tier = (mode or "panel",)
-        key = (strategy_fingerprint(strategy), tier)
+            route = ("panel",)
+        key = (strategy_fingerprint(strategy), route)
         if refresh or key not in self._cache:
             if executor is not None:
                 samples: AudienceSamples = self._collector.collect_sharded(
                     strategy, executor=executor
                 )
             else:
-                samples = self._collector.collect(strategy, mode=mode)
+                samples = self._collector.collect(strategy)
             self._cache[key] = samples
         return self._cache[key]
 
@@ -137,9 +129,9 @@ class UniquenessModel:
         :meth:`~repro.core.collection.AudienceSizeCollector.collect_stream`
         drain into an :class:`~repro.core.quantiles.AudienceAccumulator`;
         the finalized column store answers quantile and bootstrap queries
-        bit-identically to the materialised tiers without the full users × N
+        bit-identically to the materialised routes without the full users × N
         matrix ever existing.  Cached per ``(strategy, shard plan)`` like
-        the other tiers.
+        the other routes.
         """
         executor = executor or ShardExecutor()
         key = (strategy_fingerprint(strategy), ("stream", *executor.fingerprint))
@@ -153,7 +145,7 @@ class UniquenessModel:
         return samples
 
     def cache_clear(self) -> None:
-        """Drop every cached collection (all strategies, all tiers)."""
+        """Drop every cached collection (all strategies, all routes)."""
         self._cache.clear()
 
     # -- estimation -------------------------------------------------------------------

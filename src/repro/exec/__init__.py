@@ -29,8 +29,8 @@ Sharding is not only a multi-core story: even single-threaded, per-shard
 ordering and kernels beat the fused whole-panel pass because the working
 set of one shard stays cache-resident (see
 ``benchmarks/bench_perf_hot_paths.py``).  Every sharded path is pinned
-bit-identical — samples *and* rate-limit accounting — to the fused panel
-tier by ``tests/test_exec_sharding.py``.
+bit-identical — samples *and* rate-limit accounting — to the fused
+whole-panel pass by ``tests/test_exec_sharding.py``.
 
 The layer carries more than collection: ``bootstrap_cutpoints`` fans its
 replicate chunks over the same runners, ``FDVTExtension.build_risk_reports``

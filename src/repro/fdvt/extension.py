@@ -11,8 +11,10 @@ The extension has three responsibilities in the paper:
    user's interests sorted by audience size, colour-coded by privacy risk,
    with one-click removal.
 
-Audience sizes are retrieved per interest from the (simulated) Ads Manager
-API, exactly like the real extension queries the real API.
+Audience sizes are single-interest Potential Reach values from the
+(simulated) Ads Manager API, exactly what the real extension asks the real
+API for; one bulk query serves every interest of every user in a batch of
+reports.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..adsapi import AdsManagerAPI, TargetingSpec
+from ..adsapi import AdsManagerAPI
 from ..catalog import InterestCatalog
 from ..errors import PanelError
 from ..exec import ShardExecutor
@@ -84,7 +86,7 @@ class FDVTExtension:
         ``None`` (worldwide) when the platform allows it; otherwise (the
         pre-2020 situation) the 50 largest Facebook countries, as in the
         paper's data collection.  The tuple is memoised on the extension so
-        per-interest queries do not rebuild the 50-country list each time.
+        repeated reports do not rebuild the 50-country list each time.
         """
         if self._resolved_locations is _UNRESOLVED:
             if self._api.platform.allow_worldwide_location:
@@ -92,17 +94,6 @@ class FDVTExtension:
             else:
                 self._resolved_locations = country_codes()
         return self._resolved_locations  # type: ignore[return-value]
-
-    def interest_audience_size(self, interest_id: int) -> int:
-        """Potential Reach of a single-interest audience.
-
-        The audience covers :meth:`query_locations` (worldwide when the
-        platform allows it, the 50 largest Facebook countries otherwise).
-        """
-        spec = TargetingSpec.for_interests(
-            [interest_id], locations=self.query_locations()
-        )
-        return self._api.estimate_reach(spec).potential_reach
 
     # -- revenue estimation ---------------------------------------------------------
 
@@ -117,16 +108,12 @@ class FDVTExtension:
     # -- Section 6: risk view ----------------------------------------------------------
 
     def build_risk_report(self, user: SyntheticUser) -> RiskReport:
-        """Build the sorted, colour-coded risk view of the user's interests."""
-        snapshot = self.collect_ad_preferences(user)
-        if not snapshot.interest_ids:
-            raise PanelError("the user has no interests to report on")
-        entries = []
-        for interest_id in snapshot.interest_ids:
-            audience = self.interest_audience_size(interest_id)
-            entries.append(self._risk_entry(interest_id, audience))
-        entries.sort(key=lambda entry: (entry.audience_size, entry.interest_id))
-        return RiskReport(user_id=user.user_id, entries=tuple(entries))
+        """Build the sorted, colour-coded risk view of the user's interests.
+
+        One-user :meth:`build_risk_reports`; a user without interests
+        raises :class:`PanelError`.
+        """
+        return self.build_risk_reports((user,))[0]
 
     def build_risk_reports(
         self,
@@ -146,10 +133,11 @@ class FDVTExtension:
         order, while the merged rate-limit bill is settled once — the same
         validate → settle → compute → record decomposition sharded
         collection uses, so reaches *and* accounting are bit-identical to
-        the fused call for every backend and worker count.  Each returned
-        report is identical to what :meth:`build_risk_report` would build
-        for that user; a user without interests raises :class:`PanelError`
-        exactly like the scalar path.
+        the fused call for every backend and worker count.  Each report
+        equals the one built from a single-interest
+        :meth:`~repro.adsapi.AdsManagerAPI.estimate_reach` call per
+        (user, interest) occurrence; a user without interests raises
+        :class:`PanelError` before any query.
         """
         for user in users:
             if not user.interest_ids:

@@ -12,11 +12,10 @@ audience sizes itself; it delegates to any object implementing
   validating the analytic model's semantics.
 
 Besides the scalar :meth:`~ReachBackend.audience_for`, the protocol carries
-two batched entry points with loop-based default implementations, so any
-backend is automatically batch-capable.  Backends with a vectorised kernel
-(the statistical model) override them; callers get bit-identical results
-either way, which is what lets the Ads API expose a single batched estimate
-endpoint over heterogeneous backends.
+one bulk entry point, :meth:`~ReachBackend.prefix_audiences_panel`, whose
+default loops the scalar method, so every backend can answer the Ads API's
+matrix endpoint.  The statistical model overrides it with its vectorised
+kernel; callers get bit-identical results either way.
 """
 
 from __future__ import annotations
@@ -58,46 +57,6 @@ class ReachBackend(Protocol):
         """Return the total user base for ``locations``."""
         ...  # pragma: no cover - protocol definition
 
-    def audience_for_batch(
-        self,
-        combinations: Sequence[Sequence[int]],
-        locations: Sequence[str] | None = None,
-        *,
-        combine: str = "and",
-    ) -> np.ndarray:
-        """Audience sizes for many combinations at once.
-
-        Must return exactly ``[audience_for(c, ...) for c in combinations]``;
-        this default delegates to the scalar method, vectorised backends
-        override it with a faster kernel.
-        """
-        return np.asarray(
-            [
-                self.audience_for(combination, locations, combine=combine)
-                for combination in combinations
-            ],
-            dtype=float,
-        )
-
-    def prefix_audiences(
-        self,
-        ordered_ids: Sequence[int],
-        locations: Sequence[str] | None = None,
-    ) -> np.ndarray:
-        """AND-audiences of every prefix ``1..N`` of an ordered id list.
-
-        Must return exactly ``[audience_for(ordered_ids[:k], ...) for k in
-        1..N]``; vectorised backends override it with an incremental kernel.
-        """
-        ids = tuple(int(i) for i in ordered_ids)
-        return np.asarray(
-            [
-                self.audience_for(ids[: count + 1], locations)
-                for count in range(len(ids))
-            ],
-            dtype=float,
-        )
-
     def prefix_audiences_panel(
         self,
         id_matrix: np.ndarray,
@@ -106,18 +65,17 @@ class ReachBackend(Protocol):
     ) -> np.ndarray:
         """Prefix audiences for a padded panel of ordered id rows.
 
-        Row ``u`` of the result must equal
-        ``prefix_audiences(id_matrix[u, :counts[u]], locations)`` bit-for-bit
-        (``NaN`` beyond ``counts[u]``).  This default loops the per-row
-        kernel; vectorised backends override it with a whole-panel sweep.
+        Row ``u`` of the result must equal ``[audience_for(id_matrix[u, :k],
+        locations) for k in 1..counts[u]]`` bit-for-bit (``NaN`` beyond
+        ``counts[u]``).  This default loops :meth:`audience_for` over every
+        row's prefixes; vectorised backends override it with a whole-panel
+        sweep.
         """
         ids = np.asarray(id_matrix, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
         result = np.full(ids.shape, np.nan, dtype=float)
         for row in range(ids.shape[0]):
-            count = int(counts[row])
-            if count:
-                result[row, :count] = self.prefix_audiences(
-                    ids[row, :count], locations
-                )
+            prefix = tuple(int(i) for i in ids[row, : int(counts[row])])
+            for k in range(len(prefix)):
+                result[row, k] = self.audience_for(prefix[: k + 1], locations)
         return result

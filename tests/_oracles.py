@@ -1,0 +1,206 @@
+"""Slow reference oracles the bulk reach and ordering paths are pinned against.
+
+``src/`` has one production path per computation: strategies order whole
+CSR row ranges (``order_interests_matrix_columns``), the reach model answers
+every prefix of a padded id matrix in one sweep (``prefix_audiences_panel``),
+the collector issues one ``estimate_reach_matrix`` call and the FDVT
+extension builds its risk reports from one deduplicated bulk query.  The
+helpers below are the straightforward per-user / per-cell loops those paths
+replaced, kept here so the parity tests can compare against them:
+
+* :func:`order_interests` — one user's ordering as a tuple (least-popular
+  tuple sort, or the random strategy's per-user shuffle);
+* :func:`prefix_audiences` — the 1-D prefix kernel over one ordered id list;
+* :func:`collect_per_cell` — one ``estimate_reach`` call per (user, N) cell;
+* :func:`risk_report_per_occurrence` — one single-interest
+  ``estimate_reach`` call per (user, interest) occurrence.
+
+Importable from any test module (``from _oracles import ...``), like
+``tests/_builders.py``.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from repro._rng import derive_generator
+from repro.adsapi import AdsManagerAPI, TargetingSpec
+from repro.catalog import InterestCatalog
+from repro.core import LeastPopularSelection, RandomSelection
+from repro.core.quantiles import AudienceSamples
+from repro.errors import ModelError, PanelError
+from repro.fdvt import DEFAULT_THRESHOLDS, InterestRiskEntry, RiskReport, RiskThresholds
+from repro.population import SyntheticUser
+from repro.reach import StatisticalReachModel, country_codes
+from repro.reach.jitter import lognormal_jitter, prefix_seeds
+
+
+# -- per-user orderings ----------------------------------------------------------
+
+
+def order_least_popular(
+    user: SyntheticUser, catalog: InterestCatalog, max_interests: int
+) -> tuple[int, ...]:
+    """The user's rarest interests, ascending by ``(audience, id)``."""
+    if max_interests < 1:
+        raise ModelError("max_interests must be >= 1")
+    audiences = sorted((catalog.audience_size(i), i) for i in user.interest_ids)
+    return tuple(interest_id for _, interest_id in audiences[:max_interests])
+
+
+def order_random(
+    strategy: RandomSelection, user: SyntheticUser, max_interests: int
+) -> tuple[int, ...]:
+    """The user's interests shuffled with their per-user stream, truncated."""
+    if max_interests < 1:
+        raise ModelError("max_interests must be >= 1")
+    rng = derive_generator(strategy.seed, "random-selection", user.user_id)
+    interests = np.array(user.interest_ids, dtype=np.int64)
+    rng.shuffle(interests)
+    return tuple(int(i) for i in interests[:max_interests])
+
+
+def order_interests(
+    strategy, user: SyntheticUser, catalog: InterestCatalog, max_interests: int
+) -> tuple[int, ...]:
+    """Per-user ordering of either built-in strategy."""
+    if isinstance(strategy, LeastPopularSelection):
+        return order_least_popular(user, catalog, max_interests)
+    if isinstance(strategy, RandomSelection):
+        return order_random(strategy, user, max_interests)
+    raise TypeError(f"no per-user oracle for {type(strategy).__name__}")
+
+
+# -- the 1-D prefix kernel ---------------------------------------------------------
+
+
+def prefix_probabilities(
+    probs: np.ndarray, topics: np.ndarray, alpha: float, topic_affinity_boost: float
+) -> np.ndarray:
+    """Conditional-retention intersection probability of every prefix of one row.
+
+    All operations are prefix-local (cumulative minima, sums and per-topic
+    cumulative sums), so ``result[:k]`` of a truncated call equals the
+    first ``k`` entries of the full call.
+    """
+    n = probs.size
+    boost = 1.0 + topic_affinity_boost
+    with np.errstate(all="ignore"):
+        cumulative_min = np.minimum.accumulate(probs)
+        previous_min = np.concatenate(([np.inf], cumulative_min[:-1]))
+        new_min = probs < previous_min
+        # Index of the rarest interest within each prefix (first winner on
+        # ties, matching a stable sort by probability).
+        rarest_index = np.maximum.accumulate(np.where(new_min, np.arange(n), 0))
+        retention = probs**alpha
+        plain = np.minimum(1.0, retention)
+        boosted = np.minimum(1.0, retention * boost)
+        log_plain = np.log(plain)
+        log_boost_delta = np.log(boosted) - log_plain
+        total_log = np.cumsum(log_plain)
+        # Per-topic cumulative boost corrections; only the column of the
+        # prefix's rarest topic is consumed per row.
+        codes, inverse = np.unique(topics, return_inverse=True)
+        one_hot = inverse[:, None] == np.arange(codes.size)[None, :]
+        topic_cumulative = np.cumsum(
+            np.where(one_hot, log_boost_delta[:, None], 0.0), axis=0
+        )
+        same_topic = topic_cumulative[np.arange(n), inverse[rarest_index]]
+        log_probability = (
+            np.log(probs[rarest_index])
+            + (total_log - log_plain[rarest_index])
+            + (same_topic - log_boost_delta[rarest_index])
+        )
+        return np.minimum(np.exp(log_probability), probs[rarest_index])
+
+
+def prefix_audiences(
+    model: StatisticalReachModel,
+    ordered_ids: Sequence[int],
+    locations: Sequence[str] | None = None,
+) -> np.ndarray:
+    """AND-audiences of every prefix ``1..N`` of one ordered id list."""
+    ids = np.asarray([int(i) for i in ordered_ids], dtype=np.int64)
+    if ids.size == 0:
+        return np.empty(0, dtype=float)
+    positions = model._positions(ids)
+    probs = model._marginal_array[positions]
+    topics = model._topic_codes[positions]
+    config = model.config
+    intersections = prefix_probabilities(
+        probs, topics, config.correlation_alpha, config.topic_affinity_boost
+    )
+    jitters = lognormal_jitter(
+        prefix_seeds(ids, model._jitter_key), config.jitter_log10_sigma
+    )
+    base = model.world_size(locations)
+    audiences = base * intersections * jitters
+    # The jitter never pushes an AND-audience above its rarest marginal.
+    rarest = base * np.minimum.accumulate(probs)
+    return np.maximum(np.minimum(audiences, rarest), 0.0)
+
+
+# -- per-cell collection -------------------------------------------------------------
+
+
+def collect_per_cell(
+    api: AdsManagerAPI,
+    users: Iterable[SyntheticUser],
+    catalog: InterestCatalog,
+    strategy,
+    max_interests: int,
+    locations: Sequence[str] | None = None,
+) -> AudienceSamples:
+    """The users x N audience matrix from one ``estimate_reach`` per cell."""
+    users = list(users)
+    matrix = np.full((len(users), max_interests), np.nan, dtype=float)
+    for row, user in enumerate(users):
+        ordered = order_interests(strategy, user, catalog, max_interests)
+        for n_interests in range(1, len(ordered) + 1):
+            spec = TargetingSpec.for_interests(
+                ordered[:n_interests], locations=locations
+            )
+            matrix[row, n_interests - 1] = float(
+                api.estimate_reach(spec).potential_reach
+            )
+    return AudienceSamples(
+        matrix=matrix,
+        floor=api.platform.reach_floor,
+        user_ids=tuple(user.user_id for user in users),
+    )
+
+
+# -- per-occurrence risk report -------------------------------------------------------
+
+
+def risk_report_per_occurrence(
+    api: AdsManagerAPI,
+    catalog: InterestCatalog,
+    user: SyntheticUser,
+    *,
+    thresholds: RiskThresholds = DEFAULT_THRESHOLDS,
+) -> RiskReport:
+    """One user's risk view from a single-interest query per interest.
+
+    Queries go worldwide when the platform allows it and to the 50 largest
+    Facebook countries otherwise, like the extension's.
+    """
+    if not user.interest_ids:
+        raise PanelError("the user has no interests to report on")
+    locations = None if api.platform.allow_worldwide_location else country_codes()
+    entries = []
+    for interest_id in user.interest_ids:
+        spec = TargetingSpec.for_interests([interest_id], locations=locations)
+        audience = api.estimate_reach(spec).potential_reach
+        entries.append(
+            InterestRiskEntry(
+                interest_id=interest_id,
+                name=catalog.get(interest_id).name,
+                risk=thresholds.classify(audience),
+                audience_size=audience,
+            )
+        )
+    entries.sort(key=lambda entry: (entry.audience_size, entry.interest_id))
+    return RiskReport(user_id=user.user_id, entries=tuple(entries))

@@ -1,11 +1,12 @@
 """Batch/scalar parity for the vectorised reach pipeline.
 
-The batched entry points (``prefix_audiences``, ``audience_for_batch``,
-``estimate_reach_batch``, ``fit_vas_many``, the batched collector) are
-required to return **bit-identical** results to their scalar counterparts —
-they share the same kernels, including the counter-based jitter stream.
-These property-style tests pin that contract, plus the monotonicity
-invariants both paths must uphold.
+The bulk entry points (``prefix_audiences_panel``, ``estimate_reach_matrix``,
+``fit_vas_many``, the collector) are required to return **bit-identical**
+results to their scalar counterparts and to the slow reference oracles in
+``tests/_oracles.py`` (the 1-D prefix kernel, the per-cell collection
+loop) — they share the same kernels, including the counter-based jitter
+stream.  These property-style tests pin that contract, plus the
+monotonicity invariants both paths must uphold.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from repro.errors import InsufficientDataError, ModelError
 from repro.reach import StatisticalReachModel, country_codes
 from repro.simclock import SimClock
 
+from _oracles import collect_per_cell, prefix_audiences
+
 
 @pytest.fixture(scope="module")
 def model():
@@ -42,18 +45,34 @@ def id_pool(model):
     return [int(i) for i in rng.choice(ids, size=40, replace=False)]
 
 
+def _panel_row(model, ordered, locations=None):
+    """The panel kernel's prefix audiences of one ordered id list."""
+    row = np.asarray([ordered], dtype=np.int64)
+    return model.prefix_audiences_panel(row, [len(ordered)], locations)[0]
+
+
+def _ragged(rows):
+    """Pad id rows into the panel kernel's ``(id_matrix, counts)`` layout."""
+    counts = np.array([len(row) for row in rows], dtype=np.int64)
+    matrix = np.full((len(rows), int(counts.max())), -1, dtype=np.int64)
+    for index, row in enumerate(rows):
+        matrix[index, : len(row)] = row
+    return matrix, counts
+
+
 class TestPrefixKernelParity:
     def test_prefix_audiences_match_scalar_queries(self, model, id_pool):
         for locations in (None, ("US", "ES"), tuple(country_codes())):
             ordered = id_pool[:20]
-            batch = model.prefix_audiences(ordered, locations)
+            oracle = prefix_audiences(model, ordered, locations)
             scalar = np.array(
                 [
                     model.audience_for(ordered[: k + 1], locations)
                     for k in range(len(ordered))
                 ]
             )
-            assert np.array_equal(batch, scalar)
+            assert np.array_equal(oracle, scalar)
+            assert np.array_equal(_panel_row(model, ordered, locations), scalar)
 
     def test_prefix_intersections_match_scalar(self, model, id_pool):
         ordered = id_pool[:15]
@@ -64,7 +83,7 @@ class TestPrefixKernelParity:
         assert np.array_equal(batch, scalar)
 
     def test_prefix_audiences_non_increasing(self, model, id_pool):
-        audiences = model.prefix_audiences(id_pool[:25])
+        audiences = _panel_row(model, id_pool[:25])
         assert np.all(np.diff(audiences) <= 1e-9)
         assert np.all(audiences >= 0.0)
 
@@ -85,91 +104,99 @@ class TestPrefixKernelParity:
         assert forward_seed == backward_seed
 
     def test_truncated_call_is_a_prefix_of_the_full_call(self, model, id_pool):
-        full = model.prefix_audiences(id_pool[:25])
-        truncated = model.prefix_audiences(id_pool[:10])
+        full = _panel_row(model, id_pool[:25])
+        truncated = _panel_row(model, id_pool[:10])
         assert np.array_equal(full[:10], truncated)
 
 
 class TestAudienceForBatch:
+    """Many combinations in one call: ragged rows of one panel-kernel call."""
+
     def test_arbitrary_combinations_match_looped_scalar(self, model, id_pool):
         rng = np.random.default_rng(11)
         combos = [
             tuple(rng.choice(id_pool, size=size, replace=False).tolist())
             for size in (1, 7, 3, 25, 2, 14)
         ]
-        for combine in ("and", "or"):
-            batch = model.audience_for_batch(combos, ("MX",), combine=combine)
-            scalar = [
-                model.audience_for(c, ("MX",), combine=combine) for c in combos
-            ]
-            assert np.array_equal(batch, np.array(scalar))
+        matrix, counts = _ragged(combos)
+        batch = model.prefix_audiences_panel(matrix, counts, ("MX",))
+        for row, combo in enumerate(combos):
+            assert batch[row, len(combo) - 1] == model.audience_for(combo, ("MX",))
 
     def test_prefix_chains_inside_a_batch(self, model, id_pool):
-        ordered = id_pool[:9]
-        combos = [tuple(ordered[:k]) for k in range(1, 10)]
-        combos += [tuple(id_pool[9:12])]  # breaks the chain
-        combos += [tuple(id_pool[12:15]), tuple(id_pool[12:16])]  # new chain
-        batch = model.audience_for_batch(combos)
-        scalar = [model.audience_for(c) for c in combos]
-        assert np.array_equal(batch, np.array(scalar))
+        rows = [id_pool[:9], id_pool[9:12], id_pool[12:16]]
+        matrix, counts = _ragged(rows)
+        batch = model.prefix_audiences_panel(matrix, counts)
+        for row, ordered in enumerate(rows):
+            scalar = [
+                model.audience_for(ordered[:k]) for k in range(1, len(ordered) + 1)
+            ]
+            assert np.array_equal(batch[row, : len(ordered)], np.array(scalar))
 
     def test_protocol_default_matches_statistical_backend(self, id_pool, model):
         from repro.reach.backend import ReachBackend
 
-        combos = [tuple(id_pool[:k]) for k in range(1, 6)]
-        fallback = ReachBackend.audience_for_batch(model, combos)
-        assert np.array_equal(fallback, model.audience_for_batch(combos))
-        fallback_prefix = ReachBackend.prefix_audiences(model, id_pool[:6])
-        assert np.array_equal(fallback_prefix, model.prefix_audiences(id_pool[:6]))
+        matrix, counts = _ragged([id_pool[:5], id_pool[5:6], id_pool[6:12]])
+        fallback = ReachBackend.prefix_audiences_panel(model, matrix, counts)
+        assert np.array_equal(
+            fallback, model.prefix_audiences_panel(matrix, counts), equal_nan=True
+        )
 
 
 class TestEstimateReachBatch:
+    """The bulk matrix endpoint against a loop of per-spec estimates."""
+
     @pytest.fixture()
     def api(self, model):
         return AdsManagerAPI(
             model, platform=PlatformConfig.legacy_2017(), clock=SimClock()
         )
 
+    @staticmethod
+    def _prefix_specs(ordered, locations):
+        return [
+            TargetingSpec.for_interests(ordered[:k], locations=locations)
+            for k in range(1, len(ordered) + 1)
+        ]
+
     def test_batch_equals_looped_estimates(self, api, id_pool):
         locations = country_codes()
-        specs = [
-            TargetingSpec.for_interests(id_pool[:k], locations=locations)
-            for k in range(1, 26)
+        matrix, counts = _ragged([id_pool[:25]])
+        batched = api.estimate_reach_matrix(matrix, counts, locations=locations)
+        looped = [
+            float(api.estimate_reach(spec).potential_reach)
+            for spec in self._prefix_specs(id_pool[:25], locations)
         ]
-        batched = api.estimate_reach_batch(specs)
-        looped = [api.estimate_reach(spec) for spec in specs]
-        assert list(batched) == looped
+        assert np.array_equal(batched[0], np.array(looped))
 
     def test_floor_respected_on_both_paths(self, api, id_pool):
         locations = ("AR",)
-        specs = [
-            TargetingSpec.for_interests(id_pool[:k], locations=locations)
-            for k in range(1, 26)
-        ]
-        for estimate in api.estimate_reach_batch(specs):
-            assert estimate.potential_reach >= api.platform.reach_floor
-        for spec in specs:
+        matrix, counts = _ragged([id_pool[:25]])
+        batched = api.estimate_reach_matrix(matrix, counts, locations=locations)
+        assert (batched >= api.platform.reach_floor).all()
+        for spec in self._prefix_specs(id_pool[:25], locations):
             assert api.estimate_reach(spec).potential_reach >= api.platform.reach_floor
 
     def test_rate_limit_and_counter_accounting_match(self, model, id_pool):
         locations = ("US",)
-        specs = [
-            TargetingSpec.for_interests(id_pool[:k], locations=locations)
-            for k in range(1, 11)
-        ]
         batched_api = AdsManagerAPI(
             model, platform=PlatformConfig.legacy_2017(), clock=SimClock()
         )
         looped_api = AdsManagerAPI(
             model, platform=PlatformConfig.legacy_2017(), clock=SimClock()
         )
-        batched_api.estimate_reach_batch(specs)
-        for spec in specs:
+        matrix, counts = _ragged([id_pool[:10]])
+        batched_api.estimate_reach_matrix(matrix, counts, locations=locations)
+        for spec in self._prefix_specs(id_pool[:10], locations):
             looped_api.estimate_reach(spec)
         assert batched_api.call_stats() == looped_api.call_stats()
 
     def test_empty_batch(self, api):
-        assert api.estimate_reach_batch([]) == ()
+        values = api.estimate_reach_matrix(
+            np.empty((0, 0), dtype=np.int64), [], locations=("US",)
+        )
+        assert values.shape == (0, 0)
+        assert api.call_stats().reach_estimates == 0
 
 
 class TestCollectorParity:
@@ -194,9 +221,10 @@ class TestCollectorParity:
         )
         kwargs = dict(max_interests=8, locations=country_codes())
         batched = AudienceSizeCollector(fresh_api(), simulation.panel, **kwargs)
-        scalar = AudienceSizeCollector(fresh_api(), simulation.panel, **kwargs)
         batched_samples = batched.collect(strategy)
-        scalar_samples = scalar.collect(strategy, mode="scalar")
+        scalar_samples = collect_per_cell(
+            fresh_api(), simulation.panel, simulation.catalog, strategy, **kwargs
+        )
         assert np.array_equal(
             batched_samples.matrix, scalar_samples.matrix, equal_nan=True
         )

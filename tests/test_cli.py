@@ -100,6 +100,19 @@ class TestFdvtReportCommand:
         assert "risk breakdown" in captured
         assert "panel user #" in captured
 
+    @pytest.mark.parametrize("limit", ["-1", "-5"])
+    def test_negative_limit_exits_2(self, capsys, limit):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fdvt-report", *FACTOR, "--limit", limit])
+        assert excinfo.value.code == 2
+        assert f"argument --limit: must be >= 0, got {limit}" in capsys.readouterr().err
+
+    def test_zero_limit_prints_no_rows(self, capsys):
+        assert main(["fdvt-report", *FACTOR, "--limit", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # Header line, table header and rule, then the breakdown directly.
+        assert lines[3].startswith("risk breakdown")
+
     def test_default_pick_is_the_fewest_interests_at_or_above_min(self, capsys):
         panel = build_simulation(quick_config(factor=80), seed=3).panel
         counts = Counter(user.interest_count for user in panel.users)

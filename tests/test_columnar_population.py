@@ -45,6 +45,8 @@ from repro.reach import country_codes
 from repro.scenarios import RunManifest, ScenarioSpec, SweepRunner
 from repro.simclock import SimClock
 
+from _oracles import collect_per_cell
+
 
 def _users_for_columns() -> list[SyntheticUser]:
     return [
@@ -347,7 +349,7 @@ def parity_reach_model(tiny_catalog):
 
 
 class TestCollectionParity:
-    """Collection matrices and CallStats across tiers and backends."""
+    """Collection matrices and CallStats across routes, backends and the oracle."""
 
     def _api(self, parity_reach_model) -> AdsManagerAPI:
         return AdsManagerAPI(
@@ -367,8 +369,17 @@ class TestCollectionParity:
             samples = drain(
                 collector.collect_stream(strategy), AudienceAccumulator()
             ).to_samples()
+        elif kwargs.get("per_cell"):
+            samples = collect_per_cell(
+                api,
+                panel,
+                panel.catalog,
+                strategy,
+                max_interests=10,
+                locations=country_codes(),
+            )
         else:
-            samples = collector.collect(strategy, mode=kwargs.get("mode", "panel"))
+            samples = collector.collect(strategy)
         return samples, _stats_tuple(api)
 
     @pytest.mark.parametrize("strategy_name", ["least_popular", "random"])
@@ -385,7 +396,7 @@ class TestCollectionParity:
         )
         for kwargs in (
             {},
-            {"mode": "batch"},
+            {"per_cell": True},
             {"executor": ShardExecutor(shard_size=17)},
             {"executor": ShardExecutor(backend="thread", workers=3, shard_size=31)},
             {"stream": True},

@@ -13,51 +13,64 @@ from repro.core import (
     probability_to_percentile,
 )
 from repro.errors import InsufficientDataError, ModelError
+from repro.population import PanelColumns
+
+from _oracles import order_interests
+
+
+def _ordered(strategy, user, catalog, max_interests):
+    """One user's ordering through the CSR hook, checked against the oracle."""
+    ids, counts = strategy.order_interests_matrix_columns(
+        PanelColumns.from_users((user,)), catalog, max_interests
+    )
+    ordered = tuple(int(i) for i in ids[0, : counts[0]])
+    assert ordered == order_interests(strategy, user, catalog, max_interests)
+    return ordered
 
 
 class TestLeastPopularSelection:
     def test_orders_by_ascending_audience(self, panel, catalog):
         user = max(panel.users, key=lambda u: u.interest_count)
-        ordered = LeastPopularSelection().order_interests(user, catalog, 25)
+        ordered = _ordered(LeastPopularSelection(), user, catalog, 25)
         audiences = [catalog.audience_size(i) for i in ordered]
         assert audiences == sorted(audiences)
 
     def test_respects_max_interests(self, panel, catalog):
         user = max(panel.users, key=lambda u: u.interest_count)
-        assert len(LeastPopularSelection().order_interests(user, catalog, 10)) == 10
+        assert len(_ordered(LeastPopularSelection(), user, catalog, 10)) == 10
 
     def test_short_profiles_return_everything(self, panel, catalog):
         user = min(panel.users, key=lambda u: u.interest_count)
-        ordered = LeastPopularSelection().order_interests(user, catalog, 25)
+        ordered = _ordered(LeastPopularSelection(), user, catalog, 25)
         assert len(ordered) == min(25, user.interest_count)
 
     def test_invalid_max_rejected(self, panel, catalog):
         with pytest.raises(ModelError):
-            LeastPopularSelection().order_interests(panel.users[0], catalog, 0)
+            _ordered(LeastPopularSelection(), panel.users[0], catalog, 0)
 
 
 class TestRandomSelection:
     def test_returns_subset_of_user_interests(self, panel, catalog):
         user = max(panel.users, key=lambda u: u.interest_count)
-        ordered = RandomSelection(seed=1).order_interests(user, catalog, 25)
+        ordered = _ordered(RandomSelection(seed=1), user, catalog, 25)
         assert set(ordered) <= set(user.interest_ids)
         assert len(set(ordered)) == len(ordered)
 
     def test_deterministic_per_seed_and_user(self, panel, catalog):
         user = panel.users[0]
-        first = RandomSelection(seed=5).order_interests(user, catalog, 25)
-        second = RandomSelection(seed=5).order_interests(user, catalog, 25)
+        first = _ordered(RandomSelection(seed=5), user, catalog, 25)
+        second = _ordered(RandomSelection(seed=5), user, catalog, 25)
         assert first == second
 
     def test_different_seeds_give_different_orderings(self, panel, catalog):
         user = max(panel.users, key=lambda u: u.interest_count)
-        first = RandomSelection(seed=1).order_interests(user, catalog, 25)
-        second = RandomSelection(seed=2).order_interests(user, catalog, 25)
+        first = _ordered(RandomSelection(seed=1), user, catalog, 25)
+        second = _ordered(RandomSelection(seed=2), user, catalog, 25)
         assert first != second
 
     def test_selection_is_not_sorted_by_popularity(self, panel, catalog):
         user = max(panel.users, key=lambda u: u.interest_count)
-        ordered = RandomSelection(seed=3).order_interests(user, catalog, 25)
+        ordered = _ordered(RandomSelection(seed=3), user, catalog, 25)
         audiences = [catalog.audience_size(i) for i in ordered]
         assert audiences != sorted(audiences)
 

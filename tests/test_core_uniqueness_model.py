@@ -122,6 +122,33 @@ class TestUniquenessModel:
         assert api.call_stats().reach_estimates == after_first
         assert after_first >= before
 
+    def test_random_seeds_get_separate_cache_entries(self, simulation):
+        def fresh_model():
+            api = AdsManagerAPI(
+                simulation.reach_model,
+                platform=PlatformConfig.legacy_2017(),
+                clock=SimClock(),
+            )
+            config = UniquenessConfig(max_interests=6, n_bootstrap=10, seed=101)
+            return UniquenessModel(
+                api, simulation.panel, config, locations=country_codes()
+            )
+
+        model = fresh_model()
+        first = model.collect(RandomSelection(seed=1))
+        second = model.collect(RandomSelection(seed=2))
+        expected = fresh_model().collect(RandomSelection(seed=2))
+        assert second is not first
+        assert not np.array_equal(first.matrix, expected.matrix, equal_nan=True)
+        assert np.array_equal(second.matrix, expected.matrix, equal_nan=True)
+        # The streamed route shares the strategy key.
+        streamed_first = model.collect_streamed(RandomSelection(seed=1))
+        streamed_second = model.collect_streamed(RandomSelection(seed=2))
+        assert streamed_second is not streamed_first
+        assert np.array_equal(
+            streamed_second.to_samples().matrix, expected.matrix, equal_nan=True
+        )
+
     def test_vas_curves_are_monotone(self, uniqueness_setup):
         _, model = uniqueness_setup
         report = model.estimate(RandomSelection(seed=1), probabilities=[0.5])

@@ -3,7 +3,7 @@
 The contract pinned here: for every runner backend, worker count and shard
 size, ``collect_sharded`` and ``collect_stream`` return **bit-identical**
 audience samples *and* rate-limit accounting (``call_stats``, token-bucket
-level, simulated clock) to the fused ``collect(mode="panel")`` pass —
+level, simulated clock) to the fused ``collect`` pass —
 including ragged panels and users without interests — and the streamed
 accumulator answers quantile and bootstrap queries bit-identically to the
 dense matrix without ever materialising it.
@@ -49,6 +49,7 @@ from repro.reach import country_codes
 from repro.simclock import SimClock
 
 from _builders import fresh_legacy_api
+from _oracles import collect_per_cell
 
 
 def _accounting(api: AdsManagerAPI) -> tuple:
@@ -62,7 +63,7 @@ def reference(simulation):
     collector = AudienceSizeCollector(
         api, simulation.panel, max_interests=8, locations=country_codes()
     )
-    samples = collector.collect(RandomSelection(seed=13), mode="panel")
+    samples = collector.collect(RandomSelection(seed=13))
     return samples, _accounting(api)
 
 
@@ -143,6 +144,21 @@ class TestCallBill:
 
 
 class TestShardedCollectParity:
+    def test_fused_reference_matches_per_cell_oracle(self, simulation, reference):
+        ref_samples, ref_accounting = reference
+        api = fresh_legacy_api(simulation)
+        oracle = collect_per_cell(
+            api,
+            simulation.panel,
+            simulation.catalog,
+            RandomSelection(seed=13),
+            max_interests=8,
+            locations=country_codes(),
+        )
+        assert np.array_equal(oracle.matrix, ref_samples.matrix, equal_nan=True)
+        assert oracle.user_ids == ref_samples.user_ids
+        assert api.call_stats() == ref_accounting[0]
+
     @pytest.mark.parametrize(
         "backend,workers",
         [("serial", 1), ("thread", 2), ("thread", 4)],
@@ -214,7 +230,7 @@ class TestShardedCollectParity:
         fused_api = fresh_legacy_api(simulation)
         fused = AudienceSizeCollector(
             fused_api, panel, max_interests=10, locations=country_codes()
-        ).collect(LeastPopularSelection(), mode="panel")
+        ).collect(LeastPopularSelection())
         sharded_api = fresh_legacy_api(simulation)
         sharded = AudienceSizeCollector(
             sharded_api, panel, max_interests=10, locations=country_codes()
@@ -406,12 +422,6 @@ class TestUniquenessModelTiers:
         refreshed = model.collect(strategy, refresh=True)
         assert refreshed is not fused
         assert model.collect(strategy, executor=ShardExecutor(shard_size=9)) is sharded
-
-    def test_mode_and_executor_are_exclusive(self, model):
-        with pytest.raises(ModelError):
-            model.collect(
-                RandomSelection(seed=13), mode="batch", executor=ShardExecutor()
-            )
 
     def test_cache_clear_drops_every_tier(self, model):
         model.collect(RandomSelection(seed=13))

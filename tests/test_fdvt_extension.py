@@ -29,8 +29,11 @@ class TestAdPreferencesCollection:
 
     def test_interest_audience_size_respects_floor(self, extension, modern_api, catalog):
         rarest = catalog.rarest(1)[0]
-        audience = extension.interest_audience_size(rarest.interest_id)
-        assert audience >= modern_api.platform.reach_floor
+        holder = SyntheticUser(
+            user_id=10**6, country="US", interest_ids=(rarest.interest_id,)
+        )
+        (entry,) = extension.build_risk_report(holder).entries
+        assert entry.audience_size >= modern_api.platform.reach_floor
 
 
 class TestRiskReport:

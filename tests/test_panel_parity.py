@@ -1,12 +1,14 @@
-"""Parity of the panel-scale collection kernel with the per-user tiers.
+"""Parity of the panel-scale collection path with the per-user oracles.
 
-The panel tier (vectorised strategy ordering + ``prefix_audiences_panel`` +
-``estimate_reach_matrix``) must produce **bit-identical** matrices to the
-per-user batch tier and the scalar reference — including ragged panels
-(users with fewer interests than the matrix width), users without any
-interests, and demographic sub-panels.  These tests pin that contract, plus
-the dedup semantics of the batched FDVT risk reports that ride the same
-bulk endpoint.
+The collector's one path (vectorised strategy ordering +
+``prefix_audiences_panel`` + ``estimate_reach_matrix``) must produce
+**bit-identical** matrices to the slow references in ``tests/_oracles.py``
+— the per-user orderings, the 1-D prefix kernel and the per-cell
+``estimate_reach`` loop — including ragged panels (users with fewer
+interests than the matrix width), users without any interests, and
+demographic sub-panels.  These tests pin that contract, plus the dedup
+semantics of the batched FDVT risk reports that ride the same bulk
+endpoint.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from repro.core import (
     LeastPopularSelection,
     RandomSelection,
 )
-from repro.core.selection import ordered_interest_matrix_columns
 from repro.errors import (
     ModelError,
     PanelError,
@@ -34,6 +35,13 @@ from repro.fdvt import FDVTExtension, FDVTPanel
 from repro.population import PanelColumns, SyntheticUser
 from repro.reach import StatisticalReachModel, country_codes
 from repro.simclock import SimClock
+
+from _oracles import (
+    collect_per_cell,
+    order_interests,
+    prefix_audiences,
+    risk_report_per_occurrence,
+)
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +72,7 @@ class TestPrefixAudiencesPanel:
         matrix = _ragged_matrix(id_pool, counts, 25)
         panel = model.prefix_audiences_panel(matrix, counts, locations)
         for row, count in enumerate(counts):
-            expected = model.prefix_audiences(matrix[row, :count], locations)
+            expected = prefix_audiences(model, matrix[row, :count], locations)
             assert np.array_equal(panel[row, :count], expected)
             assert np.isnan(panel[row, count:]).all()
 
@@ -143,10 +151,9 @@ class TestEstimateReachMatrix:
             specs = TargetingSpec.prefix_chain(
                 matrix[row, :count], locations=locations
             )
-            estimates = api.estimate_reach_batch(specs)
             assert np.array_equal(
                 values[row, :count],
-                np.array([float(e.potential_reach) for e in estimates]),
+                np.array([float(api.estimate_reach(s).potential_reach) for s in specs]),
             )
 
     def test_floor_respected(self, api, id_pool):
@@ -259,19 +266,17 @@ class TestCollectorThreeTierParity:
             else RandomSelection(seed=strategy_seed)
         )
         kwargs = dict(max_interests=8, locations=country_codes())
-        samples = {}
-        stats = {}
-        for mode in ("panel", "batch", "scalar"):
-            api = fresh_api()
-            collector = AudienceSizeCollector(api, simulation.panel, **kwargs)
-            samples[mode] = collector.collect(strategy, mode=mode)
-            stats[mode] = api.call_stats()
-        for mode in ("batch", "scalar"):
-            assert np.array_equal(
-                samples["panel"].matrix, samples[mode].matrix, equal_nan=True
-            )
-            assert samples["panel"].user_ids == samples[mode].user_ids
-            assert stats["panel"] == stats[mode]
+        panel_api = fresh_api()
+        panel = AudienceSizeCollector(panel_api, simulation.panel, **kwargs).collect(
+            strategy
+        )
+        oracle_api = fresh_api()
+        oracle = collect_per_cell(
+            oracle_api, simulation.panel, simulation.catalog, strategy, **kwargs
+        )
+        assert np.array_equal(panel.matrix, oracle.matrix, equal_nan=True)
+        assert panel.user_ids == oracle.user_ids
+        assert panel_api.call_stats() == oracle_api.call_stats()
 
     def test_ragged_panel_with_empty_user(self, stack):
         simulation, fresh_api = stack
@@ -284,17 +289,19 @@ class TestCollectorThreeTierParity:
             SyntheticUser(user_id=4, country="AR", interest_ids=tuple(pool[28:29])),
         ]
         panel = FDVTPanel(users, catalog)
-        matrices = {}
-        for mode in ("panel", "batch", "scalar"):
-            collector = AudienceSizeCollector(
-                fresh_api(), panel, max_interests=10, locations=country_codes()
-            )
-            matrices[mode] = collector.collect(LeastPopularSelection(), mode=mode)
-        assert np.isnan(matrices["panel"].matrix[1]).all()
-        for mode in ("batch", "scalar"):
-            assert np.array_equal(
-                matrices["panel"].matrix, matrices[mode].matrix, equal_nan=True
-            )
+        collected = AudienceSizeCollector(
+            fresh_api(), panel, max_interests=10, locations=country_codes()
+        ).collect(LeastPopularSelection())
+        oracle = collect_per_cell(
+            fresh_api(),
+            users,
+            catalog,
+            LeastPopularSelection(),
+            max_interests=10,
+            locations=country_codes(),
+        )
+        assert np.isnan(collected.matrix[1]).all()
+        assert np.array_equal(collected.matrix, oracle.matrix, equal_nan=True)
 
     def test_collect_for_users_subset_order_on_panel_tier(self, stack):
         simulation, fresh_api = stack
@@ -306,83 +313,49 @@ class TestCollectorThreeTierParity:
         panel_samples = collector.collect_for_users(
             LeastPopularSelection(), reversed_ids
         )
-        scalar_samples = collector.collect_for_users(
-            LeastPopularSelection(), reversed_ids, mode="scalar"
+        scalar_samples = collect_per_cell(
+            fresh_api(),
+            [simulation.panel.get(user_id) for user_id in reversed_ids],
+            simulation.catalog,
+            LeastPopularSelection(),
+            max_interests=4,
+            locations=country_codes(),
         )
         assert list(panel_samples.user_ids) == reversed_ids
         assert np.array_equal(
             panel_samples.matrix, scalar_samples.matrix, equal_nan=True
         )
 
-    def test_mode_selects_tiers_and_rejects_unknown(self, stack):
-        simulation, fresh_api = stack
-        collector = AudienceSizeCollector(
-            fresh_api(), simulation.panel, max_interests=3, locations=country_codes()
-        )
-        panel = collector.collect(LeastPopularSelection())
-        batch = collector.collect(LeastPopularSelection(), mode="batch")
-        assert np.array_equal(panel.matrix, batch.matrix, equal_nan=True)
-        with pytest.raises(ModelError):
-            collector.collect(LeastPopularSelection(), mode="warp")
-        with pytest.raises(TypeError):
-            collector.collect(LeastPopularSelection(), batch=True)
-
 
 class TestOrderedInterestMatrix:
     def test_matches_scalar_ordering_for_both_strategies(self, simulation):
         users = simulation.panel.users
         for strategy in (LeastPopularSelection(), RandomSelection(seed=3)):
-            matrix, counts = ordered_interest_matrix_columns(
-                strategy, simulation.panel.columns, simulation.catalog, 6
+            matrix, counts = strategy.order_interests_matrix_columns(
+                simulation.panel.columns, simulation.catalog, 6
             )
             assert matrix.shape[1] <= 6
             for row, user in enumerate(users):
-                expected = strategy.order_interests(user, simulation.catalog, 6)
+                expected = order_interests(strategy, user, simulation.catalog, 6)
                 assert counts[row] == len(expected)
                 assert tuple(matrix[row, : counts[row]]) == expected
                 assert (matrix[row, counts[row] :] == -1).all()
-
-    def test_strategy_without_column_hook_falls_back_per_row(self, simulation):
-        class ScalarOnly:
-            """A strategy exposing only the protocol's per-user ordering."""
-
-            name = "least_popular"
-
-            def order_interests(self, user, catalog, max_interests):
-                return LeastPopularSelection().order_interests(
-                    user, catalog, max_interests
-                )
-
-        columns = simulation.panel.columns
-        expected = ordered_interest_matrix_columns(
-            LeastPopularSelection(), columns, simulation.catalog, 6, 3, 17
-        )
-        produced = ordered_interest_matrix_columns(
-            ScalarOnly(), columns, simulation.catalog, 6, 3, 17
-        )
-        assert np.array_equal(produced[0], expected[0])
-        assert np.array_equal(produced[1], expected[1])
 
     def test_unknown_interest_raises(self, simulation):
         users = (
             SyntheticUser(user_id=1, country="US", interest_ids=(10**9,)),
         )
         with pytest.raises(UnknownInterestError):
-            ordered_interest_matrix_columns(
-                LeastPopularSelection(),
-                PanelColumns.from_users(users),
-                simulation.catalog,
-                5,
+            LeastPopularSelection().order_interests_matrix_columns(
+                PanelColumns.from_users(users), simulation.catalog, 5
             )
 
     def test_invalid_max_interests(self, simulation):
-        with pytest.raises(ModelError):
-            ordered_interest_matrix_columns(
-                LeastPopularSelection(),
-                simulation.panel.columns,
-                simulation.catalog,
-                0,
-            )
+        for strategy in (LeastPopularSelection(), RandomSelection(seed=3)):
+            with pytest.raises(ModelError):
+                strategy.order_interests_matrix_columns(
+                    simulation.panel.columns, simulation.catalog, 0
+                )
 
 
 class TestBatchedRiskReports:
@@ -402,16 +375,16 @@ class TestBatchedRiskReports:
     def test_reports_identical_to_scalar_path(self, simulation, modern_api, users):
         extension = FDVTExtension(modern_api, simulation.catalog)
         batched = extension.build_risk_reports(users)
-        scalar_extension = FDVTExtension(
-            AdsManagerAPI(
-                simulation.reach_model,
-                platform=PlatformConfig.modern_2020(),
-                clock=SimClock(),
-            ),
-            simulation.catalog,
+        scalar_api = AdsManagerAPI(
+            simulation.reach_model,
+            platform=PlatformConfig.modern_2020(),
+            clock=SimClock(),
         )
         for user, report in zip(users, batched):
-            assert report == scalar_extension.build_risk_report(user)
+            assert report == risk_report_per_occurrence(
+                scalar_api, simulation.catalog, user
+            )
+            assert report == extension.build_risk_report(user)
 
     def test_unique_interests_queried_once(self, simulation, modern_api, users):
         extension = FDVTExtension(modern_api, simulation.catalog)
