@@ -54,6 +54,7 @@ class InterestCatalog:
         self._audiences = np.array(
             [self._interests[i].audience_size for i in self._ids], dtype=np.int64
         )
+        self._ranks: tuple[np.ndarray, np.ndarray] | None = None
         self._by_audience: tuple[Interest, ...] | None = None
         self._by_topic: dict[str, tuple[Interest, ...]] | None = None
 
@@ -163,12 +164,29 @@ class InterestCatalog:
         """All interests belonging to ``topic``, in id order."""
         return self._topic_index().get(topic, ())
 
+    def audience_ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ranks, ids_by_rank)`` of the ascending-audience order (memoised).
+
+        The order sorts by audience with ties in id order.  ``ranks[p]`` is
+        the rank of the interest at id position ``p`` (its index in
+        :attr:`interest_ids`) and ``ids_by_rank[r]`` the id holding rank
+        ``r``.  Both arrays are read-only.
+        """
+        if self._ranks is None:
+            order = np.argsort(self._audiences, kind="stable")
+            ranks = np.empty_like(order)
+            ranks[order] = np.arange(order.size)
+            ids_by_rank = self._ids[order]
+            ranks.flags.writeable = False
+            ids_by_rank.flags.writeable = False
+            self._ranks = (ranks, ids_by_rank)
+        return self._ranks
+
     def _audience_order(self) -> tuple[Interest, ...]:
         """Interests by ascending audience, ties in id order (memoised)."""
         if self._by_audience is None:
-            order = np.argsort(self._audiences, kind="stable")
             self._by_audience = tuple(
-                self._interests[int(i)] for i in self._ids[order]
+                self._interests[int(i)] for i in self.audience_ranks()[1]
             )
         return self._by_audience
 

@@ -43,7 +43,7 @@ import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -651,15 +651,24 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type for counts that must be >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type for ints that must be >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+#: Counts that may be zero (``--limit``) and scale divisors (``--factor``).
+_non_negative_int = _int_at_least(0)
+_positive_int = _int_at_least(1)
 
 
 def _format_bytes(count: int) -> str:
@@ -745,11 +754,8 @@ def cmd_cache_warm(args: argparse.Namespace) -> int:
             specs = tuple(spec.derived(args.sweep_seed) for spec in specs)
         jobs = [(spec.config(), spec.seed) for spec in specs]
     else:
-        config = (
-            default_config()
-            if (args.factor or 20) <= 1
-            else quick_config(factor=args.factor or 20)
-        )
+        factor = args.factor or 20
+        config = default_config() if factor <= 1 else quick_config(factor=factor)
         jobs = [(config, args.seed)]
     seen: set[str] = set()
     for config, seed in jobs:
@@ -789,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--factor",
-            type=int,
+            type=_positive_int,
             default=20,
             help="scale divisor applied to the paper-scale configuration (1 = full scale)",
         )
@@ -880,7 +886,10 @@ def build_parser() -> argparse.ArgumentParser:
                 help="registered scenario name (omit when sweeping a --spec file)",
             )
         sub.add_argument(
-            "--factor", type=int, default=None, help="override the spec's scale divisor"
+            "--factor",
+            type=_positive_int,
+            default=None,
+            help="override the spec's scale divisor",
         )
         sub.add_argument(
             "--seed", type=int, default=None, help="override the spec's seed"
@@ -1155,7 +1164,7 @@ def build_parser() -> argparse.ArgumentParser:
         "`scenario sweep --grid`)",
     )
     cache_warm.add_argument(
-        "--factor", type=int, default=None, help="scale divisor (default 20)"
+        "--factor", type=_positive_int, default=None, help="scale divisor (default 20)"
     )
     cache_warm.add_argument(
         "--seed", type=int, default=None, help="seed of the warmed stages"

@@ -19,9 +19,11 @@ A strategy has one method, ``order_interests_matrix_columns``: it resolves
 the ordered ids of a row range of a
 :class:`~repro.population.columnar.PanelColumns` CSR store into one padded
 ``(n_rows, width)`` id matrix, straight off the CSR arrays.  The
-least-popular strategy orders every row in a single global sort over
-id-indexed catalog popularity arrays; the random strategy shuffles each CSR
-row slice with a stream derived from the strategy seed and the user id.
+least-popular strategy orders every row in one global sort of
+``row * n_catalog + rank`` keys, where the rank is the interest's place in
+the catalog's ascending ``(audience, id)`` order; the random strategy
+shuffles each CSR row slice with a stream derived from the strategy seed
+and the user id.
 Every row depends only on its own user, so any ``[start, stop)`` shard of a
 store orders exactly like the same rows of the whole store.  The per-user
 reference orderings these are pinned against live with the test suite.
@@ -80,10 +82,13 @@ class LeastPopularSelection:
         """Each row's rarest interests, ascending by ``(audience, id)``.
 
         The flat id fragment and per-row lengths come straight off the CSR
-        arrays — no user objects.  Every id is resolved against the
-        catalog's id-indexed audience array with one ``searchsorted`` and
-        ordered with one global ``lexsort`` keyed ``(row, audience, id)``.
-        An id missing from the catalog raises :class:`UnknownInterestError`.
+        arrays — no user objects.  Every id is resolved to its catalog
+        position with one ``searchsorted``; the catalog's
+        :meth:`~repro.catalog.InterestCatalog.audience_ranks` already encode
+        the ``(audience, id)`` order, so one in-place sort of the keys
+        ``row * n_catalog + rank`` orders every row at once, and
+        ``key % n_catalog`` decodes back to ids.  An id missing from the
+        catalog raises :class:`UnknownInterestError`.
         """
         if max_interests < 1:
             raise ModelError("max_interests must be >= 1")
@@ -98,11 +103,16 @@ class LeastPopularSelection:
         mismatched = sorted_ids[positions] != flat_ids
         if mismatched.any():
             raise UnknownInterestError(int(flat_ids[np.argmax(mismatched)]))
-        flat_audiences = catalog.all_audience_sizes()[positions]
-        row_index = np.repeat(np.arange(len(full_counts)), full_counts)
-        order = np.lexsort((flat_ids, flat_audiences, row_index))
+        ranks, ids_by_rank = catalog.audience_ranks()
+        n_catalog = len(ranks)
+        keys = np.repeat(
+            np.arange(len(full_counts), dtype=np.int64) * n_catalog, full_counts
+        )
+        keys += ranks[positions]
+        keys.sort()
+        keys %= n_catalog
         counts = np.minimum(full_counts, max_interests)
-        return _pack_ordered_rows(flat_ids[order], full_counts, counts)
+        return _pack_ordered_rows(ids_by_rank[keys], full_counts, counts)
 
 
 class RandomSelection:

@@ -31,8 +31,10 @@ Two call shapes expose the model:
   per-row path: topic-probability CDFs cached per (preferred-topic set,
   rounded bias), within-topic CDFs precomputed per rounded bias, the
   ``rng.choice(p=...)`` validation/cumsum overhead replaced by a cached
-  ``searchsorted``, and the rejection rounds' first-occurrence dedup
-  vectorised over a dense position space instead of a per-id Python loop.
+  ``searchsorted``, the within-topic lookups grouped per (bias, topic)
+  segment so each runs as one ``searchsorted`` on the reference's own
+  topic CDF, and the rejection rounds' first-occurrence dedup vectorised
+  over a dense position space instead of a per-id Python loop.
 """
 
 from __future__ import annotations
@@ -72,23 +74,15 @@ def _concat_ranges(lengths: np.ndarray) -> np.ndarray:
 class _BiasTables:
     """Per-rounded-bias tables shared by every row drawn at that bias.
 
-    ``cdf_matrix`` stacks the per-topic within-topic CDFs row-per-topic
-    (shorter topics padded with 1.0 — never reached, uniforms are < 1), so
-    the batched kernel can binary-search all of a row's draws at once;
-    ``topic_cdfs`` are views of the same rows for the scalar reference
-    path, guaranteeing both paths read the very same floats.
+    ``topic_cdfs`` holds one within-topic CDF per topic; the reference
+    path and the batched kernel both search these very arrays, so the two
+    paths compare against the same floats.
     """
 
-    __slots__ = ("base_weights", "cdf_matrix", "topic_cdfs")
+    __slots__ = ("base_weights", "topic_cdfs")
 
-    def __init__(
-        self,
-        base_weights: np.ndarray,
-        cdf_matrix: np.ndarray,
-        topic_cdfs: list[np.ndarray],
-    ) -> None:
+    def __init__(self, base_weights: np.ndarray, topic_cdfs: list[np.ndarray]) -> None:
         self.base_weights = base_weights
-        self.cdf_matrix = cdf_matrix
         self.topic_cdfs = topic_cdfs
 
 
@@ -141,8 +135,6 @@ class InterestAssigner:
             if self._topic_ids
             else np.zeros(0, dtype=np.int64)
         )
-        self._max_topic_size = int(self._topic_sizes.max()) if self._topic_ids else 0
-        self._search_iters = self._max_topic_size.bit_length()
         self._bias_cache: OrderedDict[float, _BiasTables] = OrderedDict()
         self._selection_cache: OrderedDict[
             tuple[tuple[int, ...], float], tuple[np.ndarray, np.ndarray]
@@ -311,9 +303,9 @@ class InterestAssigner:
         active_rows: list[int] = []
         active_rngs: list[np.random.Generator] = []
         active_uniforms: list[np.ndarray] = []
-        active_bias: list[float] = []
         topic_uniforms: list[np.ndarray] = []
-        bias_slots: dict[float, list[int]] = {}
+        bias_index: dict[float, int] = {}
+        bias_of_slot: list[int] = []
         # Topic-CDF routing: rows whose preferred topics arrive as int
         # index arrays (the shard path) build their CDFs batched per
         # (bias, count) group; everything else — topic names, duplicate
@@ -332,10 +324,9 @@ class InterestAssigner:
             slot = len(active_rows)
             active_rows.append(row)
             active_rngs.append(rng)
-            active_bias.append(bias)
             topic_uniforms.append(rng.random(batch))
             active_uniforms.append(rng.random(batch))
-            bias_slots.setdefault(bias, []).append(slot)
+            bias_of_slot.append(bias_index.setdefault(bias, len(bias_index)))
             pref = None if preferred_topics is None else preferred_topics[row]
             if (
                 isinstance(pref, np.ndarray)
@@ -405,8 +396,6 @@ class InterestAssigner:
         # pairing of the reference's ``np.unique`` + slicing, which only
         # consumes per-topic counts.
         batch_lens = np.array([u.size for u in topic_uniforms], dtype=np.int64)
-        draw_starts = np.zeros(n_active + 1, dtype=np.int64)
-        np.cumsum(batch_lens, out=draw_starts[1:])
         u_cat = (
             topic_uniforms[0] if n_active == 1 else np.concatenate(topic_uniforms)
         )
@@ -422,31 +411,17 @@ class InterestAssigner:
         draw_keys.sort()
         draw_keys -= slot_rep * n_topics_count
 
-        # Round 1, search phase — one batched within-topic lookup for the
-        # whole shard: the distinct biases' CDF matrices stack into one
-        # 3-D array (a no-copy view when every row shares one bias, the
-        # panel-population common case per shard chunk) and the bisection
-        # gathers through a per-draw bias index.
-        bias_list = list(bias_slots)
-        if len(bias_list) == 1:
-            cdf_stack = self._bias_tables(bias_list[0]).cdf_matrix[None]
-            bias_of_draw = np.zeros(total_draws, dtype=np.int64)
-        else:
-            cdf_stack = np.stack(
-                [self._bias_tables(b).cdf_matrix for b in bias_list]
-            )
-            bias_index = {b: i for i, b in enumerate(bias_list)}
-            bias_of_slot = np.array(
-                [bias_index[b] for b in active_bias], dtype=np.int64
-            )
-            bias_of_draw = np.repeat(bias_of_slot, batch_lens)
+        # Round 1, search phase — every within-topic lookup of the shard
+        # at once, grouped per (bias, topic) segment.
+        bias_list = list(bias_index)
+        bias_of_slot_arr = np.array(bias_of_slot, dtype=np.int64)
         u2_cat = (
             active_uniforms[0]
             if n_active == 1
             else np.concatenate(active_uniforms)
         )
-        pos_all = self._bisect_positions_stacked(
-            cdf_stack, bias_of_draw, draw_keys, u2_cat
+        pos_all = self._grouped_positions(
+            bias_list, np.repeat(bias_of_slot_arr, batch_lens), draw_keys, u2_cat
         )
 
         # Round 1, dedup phase — first-occurrence dedup for every row in
@@ -492,7 +467,8 @@ class InterestAssigner:
                 self._finish_rows_batched(
                     pending[lo : lo + chunk_rows],
                     active_rngs,
-                    active_bias,
+                    bias_list,
+                    bias_of_slot_arr,
                     active_targets,
                     active_starts,
                     kept_pos,
@@ -504,35 +480,44 @@ class InterestAssigner:
 
     # -- internals ------------------------------------------------------------
 
-    def _bisect_positions_stacked(
+    def _grouped_positions(
         self,
-        cdf_stack: np.ndarray,
+        bias_list: list[float],
         bias_of_draw: np.ndarray,
         topic_draws: np.ndarray,
         uniforms: np.ndarray,
     ) -> np.ndarray:
         """Dense flat positions for ``(bias, topic, uniform)`` draws, batched.
 
-        A bisection computing exactly
-        ``searchsorted(cdf_t, u, side="right")`` (then the reference's
-        one-sided clamp) for every draw at once; ``cdf_stack`` stacks the
-        per-bias CDF matrices and ``bias_of_draw`` selects each draw's
-        matrix.  Comparisons read the very same floats the per-topic path
-        reads — no arithmetic touches the CDF values or the uniforms — so
-        the result is bit-identical regardless of how biases interleave.
+        One argsort groups the draws by ``(bias, topic)`` segment; each
+        non-empty segment then runs the reference's
+        ``searchsorted(cdf, u, side="right")`` on the very topic CDF
+        :meth:`_draw_within_topic` reads, and the results scatter back to
+        draw order before the reference's one-sided clamp and the topic
+        offset.  Every comparison is the reference's own, so the result is
+        bit-identical however biases and topics interleave.
         """
-        topic_sizes = self._topic_sizes[topic_draws]
-        lo = np.zeros(topic_draws.size, dtype=np.int64)
-        hi = topic_sizes.copy()
-        for _ in range(self._search_iters):
-            active = lo < hi
-            mid = (lo + hi) >> 1
-            vals = cdf_stack[bias_of_draw, topic_draws, mid]
-            go_right = active & (vals <= uniforms)
-            shrink = active & ~go_right
-            lo = np.where(go_right, mid + 1, lo)
-            hi = np.where(shrink, mid, hi)
-        positions = np.minimum(lo, topic_sizes - 1)
+        n_topics_count = len(self._topics)
+        segments = bias_of_draw * n_topics_count
+        segments += topic_draws
+        order = np.argsort(segments)
+        sorted_segments = segments[order]
+        sorted_uniforms = uniforms[order]
+        starts = np.flatnonzero(np.diff(sorted_segments, prepend=-1))
+        # Segment ``bias * n_topics + topic`` indexes this flat list.
+        cdfs = [cdf for b in bias_list for cdf in self._bias_tables(b).topic_cdfs]
+        found = np.empty(order.size, dtype=np.int64)
+        for segment, lo, hi in zip(
+            sorted_segments[starts].tolist(),
+            starts.tolist(),
+            [*starts[1:].tolist(), order.size],
+        ):
+            found[lo:hi] = cdfs[segment].searchsorted(
+                sorted_uniforms[lo:hi], side="right"
+            )
+        positions = np.empty_like(found)
+        positions[order] = found
+        np.minimum(positions, self._topic_sizes[topic_draws] - 1, out=positions)
         positions += self._topic_offsets[topic_draws]
         return positions
 
@@ -540,7 +525,8 @@ class InterestAssigner:
         self,
         slots: np.ndarray,
         rngs: list[np.random.Generator],
-        biases: list[float],
+        bias_list: list[float],
+        bias_of_slot: np.ndarray,
         targets: np.ndarray,
         starts: np.ndarray,
         kept_pos: np.ndarray,
@@ -553,10 +539,10 @@ class InterestAssigner:
         The same cross-row batching as round 1: every unfinished row's
         attempt ``k`` draws run before any row's attempt ``k+1`` — the
         independent per-row streams make the interleaving unobservable —
-        so each round is one comparison-count topic phase, one stacked
-        bisection and one global first-occurrence dedup, with positions
-        already claimed by a row's earlier attempts masked out via a
-        per-row ``seen`` plane.  Each per-row draw sequence mirrors
+        so each round is one comparison-count topic phase, one grouped
+        within-topic search and one global first-occurrence dedup, with
+        positions already claimed by a row's earlier attempts masked out
+        via a per-row ``seen`` plane.  Each per-row draw sequence mirrors
         :meth:`assign` draw for draw.
         """
         n_flat = self._flat_topic_ids.size
@@ -574,22 +560,7 @@ class InterestAssigner:
             pieces.append([piece])
             chosen[i] = piece.size
             seen[i, piece] = True
-        bias_list: list[float] = []
-        bias_index: dict[float, int] = {}
-        bias_of_row = np.empty(n_pending, dtype=np.int64)
-        for i, s in enumerate(slot_list):
-            bias = biases[s]
-            found = bias_index.get(bias)
-            if found is None:
-                found = bias_index[bias] = len(bias_list)
-                bias_list.append(bias)
-            bias_of_row[i] = found
-        if len(bias_list) == 1:
-            cdf_stack = self._bias_tables(bias_list[0]).cdf_matrix[None]
-        else:
-            cdf_stack = np.stack(
-                [self._bias_tables(b).cdf_matrix for b in bias_list]
-            )
+        bias_of_row = bias_of_slot[slots]
 
         alive = np.flatnonzero(chosen < row_targets)
         attempts = 1
@@ -612,8 +583,8 @@ class InterestAssigner:
             draw_keys += (row_cdfs[row_rep] <= u1[:, None]).sum(axis=1)
             draw_keys.sort()
             draw_keys -= row_rep * n_topics_count
-            positions = self._bisect_positions_stacked(
-                cdf_stack, bias_of_row[row_rep], draw_keys, u2
+            positions = self._grouped_positions(
+                bias_list, bias_of_row[row_rep], draw_keys, u2
             )
             keys = row_rep * n_flat
             keys += positions
@@ -721,23 +692,15 @@ class InterestAssigner:
         tables = self._bias_cache.get(bias)
         if tables is None:
             base_weights = np.empty(len(self._topics), dtype=float)
-            # One padding column past the longest topic keeps the kernel's
-            # bisection gathers in bounds when an element has already
-            # converged at ``lo == hi == topic size``; the pad value (1.0)
-            # is never compared against a live interval.
-            cdf_matrix = np.ones(
-                (len(self._topics), self._max_topic_size + 1), dtype=np.float64
-            )
             topic_cdfs: list[np.ndarray] = []
             for idx, audiences in enumerate(self._topic_audiences):
                 powered = np.power(audiences, bias)
                 base_weights[idx] = powered.sum()
-                if powered.size:
-                    cdf = np.cumsum(powered)
-                    cdf = cdf / cdf[-1]
-                    cdf_matrix[idx, : cdf.size] = cdf
-                topic_cdfs.append(cdf_matrix[idx, : powered.size])
-            tables = _BiasTables(base_weights, cdf_matrix, topic_cdfs)
+                cdf = np.cumsum(powered)
+                if cdf.size:
+                    cdf /= cdf[-1]
+                topic_cdfs.append(cdf)
+            tables = _BiasTables(base_weights, topic_cdfs)
             self._bias_cache[bias] = tables
             if len(self._bias_cache) > BIAS_TABLE_CACHE_SIZE:
                 self._bias_cache.popitem(last=False)

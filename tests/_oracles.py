@@ -11,6 +11,8 @@ replaced, kept here so the parity tests can compare against them:
 * :func:`order_interests` — one user's ordering as a tuple (least-popular
   tuple sort, or the random strategy's per-user shuffle);
 * :func:`prefix_audiences` — the 1-D prefix kernel over one ordered id list;
+* :func:`prefix_chain` — one :class:`TargetingSpec` per prefix of an
+  ordered id list, the query family the matrix endpoint answers in bulk;
 * :func:`collect_per_cell` — one ``estimate_reach`` call per (user, N) cell;
 * :func:`risk_report_per_occurrence` — one single-interest
   ``estimate_reach`` call per (user, interest) occurrence.
@@ -140,6 +142,29 @@ def prefix_audiences(
     # The jitter never pushes an AND-audience above its rarest marginal.
     rarest = base * np.minimum.accumulate(probs)
     return np.maximum(np.minimum(audiences, rarest), 0.0)
+
+
+# -- per-prefix specs ----------------------------------------------------------------
+
+
+def prefix_chain(
+    interests: Sequence[int],
+    *,
+    locations: Sequence[str] | None = None,
+    combine: str = "and",
+) -> tuple[TargetingSpec, ...]:
+    """Specs for every prefix ``1..N`` of one ordered interest list.
+
+    The full-length spec is built (and validated) first, so a duplicated id
+    raises even when every shorter prefix would be valid.
+    """
+    longest = TargetingSpec.for_interests(
+        interests, locations=locations, combine=combine
+    )
+    return tuple(
+        longest.with_interests(longest.interests[:count])
+        for count in range(1, len(longest.interests) + 1)
+    )
 
 
 # -- per-cell collection -------------------------------------------------------------

@@ -6,7 +6,8 @@ Pins :meth:`InterestAssigner.assign_rows` — the kernel behind
 * **row parity** — ``assign_rows`` reproduces :meth:`InterestAssigner.assign`
   row by row for ragged and zero counts, clipped counts, preferred topics
   given as names or index arrays (including duplicates), default and
-  per-row biases, and the multi-bias stacked-search path;
+  per-row biases, and several biases interleaved in one grouped
+  within-topic search;
 * **shard parity** — :func:`run_interest_shard` matches
   :func:`run_interest_shard_reference` for population- and panel-shaped
   tasks (jittered biases, in-stream age draws) and is invariant to how a
@@ -133,7 +134,8 @@ class TestRowParity:
 
     def test_per_row_biases_including_duplicates_and_defaults(self, assigner):
         # None entries mean the default bias; repeated values share cached
-        # tables; distinct values exercise the stacked multi-bias search.
+        # tables; distinct values split the grouped within-topic search
+        # into per-(bias, topic) segments.
         counts = np.array([9, 14, 6, 11, 9, 16, 3, 8], dtype=np.int64)
         biases = [None, 0.3, 0.77, 1.2, 0.3, None, 0.51, 0.9]
         assert_rows_equal(
@@ -141,7 +143,9 @@ class TestRowParity:
             reference_rows(assigner, counts, 37, "user", biases=biases),
         )
 
-    def test_single_shared_bias_uses_the_fast_stack(self, assigner):
+    def test_single_shared_bias(self, assigner):
+        # One bias for every row: every segment of the grouped search
+        # reads the same bias tables.
         counts = np.array([7, 5, 21, 9], dtype=np.int64)
         biases = [0.45, 0.45, 0.45, 0.45]
         assert_rows_equal(

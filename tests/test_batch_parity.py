@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.adsapi import AdsManagerAPI, TargetingSpec
+from repro.adsapi import AdsManagerAPI
 from repro.catalog import InterestCatalog
 from repro.config import CatalogConfig, PlatformConfig, ReachModelConfig
 from repro.core import (
@@ -29,7 +29,7 @@ from repro.errors import InsufficientDataError, ModelError
 from repro.reach import StatisticalReachModel, country_codes
 from repro.simclock import SimClock
 
-from _oracles import collect_per_cell, prefix_audiences
+from _oracles import collect_per_cell, prefix_audiences, prefix_chain
 
 
 @pytest.fixture(scope="module")
@@ -152,20 +152,13 @@ class TestEstimateReachBatch:
             model, platform=PlatformConfig.legacy_2017(), clock=SimClock()
         )
 
-    @staticmethod
-    def _prefix_specs(ordered, locations):
-        return [
-            TargetingSpec.for_interests(ordered[:k], locations=locations)
-            for k in range(1, len(ordered) + 1)
-        ]
-
     def test_batch_equals_looped_estimates(self, api, id_pool):
         locations = country_codes()
         matrix, counts = _ragged([id_pool[:25]])
         batched = api.estimate_reach_matrix(matrix, counts, locations=locations)
         looped = [
             float(api.estimate_reach(spec).potential_reach)
-            for spec in self._prefix_specs(id_pool[:25], locations)
+            for spec in prefix_chain(id_pool[:25], locations=locations)
         ]
         assert np.array_equal(batched[0], np.array(looped))
 
@@ -174,7 +167,7 @@ class TestEstimateReachBatch:
         matrix, counts = _ragged([id_pool[:25]])
         batched = api.estimate_reach_matrix(matrix, counts, locations=locations)
         assert (batched >= api.platform.reach_floor).all()
-        for spec in self._prefix_specs(id_pool[:25], locations):
+        for spec in prefix_chain(id_pool[:25], locations=locations):
             assert api.estimate_reach(spec).potential_reach >= api.platform.reach_floor
 
     def test_rate_limit_and_counter_accounting_match(self, model, id_pool):
@@ -187,7 +180,7 @@ class TestEstimateReachBatch:
         )
         matrix, counts = _ragged([id_pool[:10]])
         batched_api.estimate_reach_matrix(matrix, counts, locations=locations)
-        for spec in self._prefix_specs(id_pool[:10], locations):
+        for spec in prefix_chain(id_pool[:10], locations=locations):
             looped_api.estimate_reach(spec)
         assert batched_api.call_stats() == looped_api.call_stats()
 

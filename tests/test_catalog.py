@@ -293,6 +293,16 @@ class TestCatalogLookupParity:
         )
         assert first == second
 
+    def test_audience_ranks_encode_the_rarest_order(self, tied_catalog):
+        ranks, ids_by_rank = tied_catalog.audience_ranks()
+        rarest = _oracle_rarest(tied_catalog, len(tied_catalog))
+        assert ids_by_rank.tolist() == [i.interest_id for i in rarest]
+        assert np.array_equal(ids_by_rank[ranks], tied_catalog.interest_ids)
+        assert tied_catalog.audience_ranks()[0] is ranks
+        for array in (ranks, ids_by_rank):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
     def test_array_accessors_return_copies(self, tied_catalog):
         expected = _oracle_most_popular(tied_catalog, 25)
         tied_catalog.all_audience_sizes()[:] = 0

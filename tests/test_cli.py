@@ -41,6 +41,43 @@ class TestParser:
         assert args.probabilities == [0.5, 0.8, 0.9, 0.95]
 
 
+class TestFactorValidation:
+    """``--factor`` is a scale divisor: zero and negatives exit 2 at parse time."""
+
+    @pytest.mark.parametrize("factor", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["uniqueness"],
+            ["countermeasures"],
+            ["scenario", "run", "uniqueness-table1"],
+            ["scenario", "sweep", "uniqueness-table1"],
+            ["cache", "warm"],
+        ],
+        ids=[
+            "uniqueness",
+            "countermeasures",
+            "scenario-run",
+            "scenario-sweep",
+            "cache-warm",
+        ],
+    )
+    def test_non_positive_factor_exits_2(self, tmp_path, capsys, command, factor):
+        extra = ["--root", str(tmp_path)] if command[0] == "cache" else []
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, *extra, "--factor", factor])
+        assert excinfo.value.code == 2
+        assert f"argument --factor: must be >= 1, got {factor}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command",
+        [["uniqueness"], ["scenario", "run", "uniqueness-table1"], ["cache", "warm"]],
+    )
+    def test_factor_one_is_accepted(self, command):
+        assert build_parser().parse_args([*command, "--factor", "1"]).factor == 1
+
+
 class TestDatasetCommand:
     def test_writes_catalog_and_panel(self, tmp_path, capsys):
         exit_code = main(

@@ -40,6 +40,7 @@ from _oracles import (
     collect_per_cell,
     order_interests,
     prefix_audiences,
+    prefix_chain,
     risk_report_per_occurrence,
 )
 
@@ -148,9 +149,7 @@ class TestEstimateReachMatrix:
             if count == 0:
                 assert np.isnan(values[row]).all()
                 continue
-            specs = TargetingSpec.prefix_chain(
-                matrix[row, :count], locations=locations
-            )
+            specs = prefix_chain(matrix[row, :count], locations=locations)
             assert np.array_equal(
                 values[row, :count],
                 np.array([float(api.estimate_reach(s).potential_reach) for s in specs]),
@@ -232,7 +231,7 @@ class TestEstimateReachMatrix:
 
 class TestPrefixChainSpecs:
     def test_chain_matches_individual_constructors(self, id_pool):
-        chain = TargetingSpec.prefix_chain(id_pool[:6], locations=("US", "ES"))
+        chain = prefix_chain(id_pool[:6], locations=("US", "ES"))
         assert len(chain) == 6
         for k, spec in enumerate(chain, start=1):
             assert spec == TargetingSpec.for_interests(
@@ -241,8 +240,8 @@ class TestPrefixChainSpecs:
 
     def test_chain_validates_the_longest_spec(self, id_pool):
         with pytest.raises(TargetingValidationError):
-            TargetingSpec.prefix_chain([id_pool[0], id_pool[0]])
-        assert TargetingSpec.prefix_chain([]) == ()
+            prefix_chain([id_pool[0], id_pool[0]])
+        assert prefix_chain([]) == ()
 
 
 class TestCollectorThreeTierParity:
