@@ -33,8 +33,9 @@ the hot paths industrialised by the batched pipeline —
 * the **columnar scale stage** (``--scale-users`` panellists built straight
   into the CSR column store via the sharded generation path, then collected
   shard-by-shard and bootstrapped off the streamed accumulator — measuring
-  build rate in users/s and peak memory via ``tracemalloc`` +
-  ``resource.getrusage``, with sharded-vs-serial build parity and the
+  build rate in users/s and the process peak RSS via
+  ``resource.getrusage`` (no ``tracemalloc`` under the timed chain, which
+  slowed it several-fold), with sharded-vs-serial build parity and the
   ``PanelColumns.from_users`` round trip pinned at an overlap scale;
   ``--scale-users 1000000`` is the million-user acceptance run),
 
@@ -66,7 +67,6 @@ import platform
 import resource
 import tempfile
 import time
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -516,7 +516,6 @@ def _scale_stage(scale_users: int, parity_users: int) -> dict:
 
     assignment = _assignment_stage(config, catalog)
 
-    tracemalloc.start()
     build_s, panel = _timed(
         "columnar panel build (sharded)",
         lambda: build_panel(
@@ -562,17 +561,11 @@ def _scale_stage(scale_users: int, parity_users: int) -> dict:
             streamed_store, QUANTILES, n_bootstrap=SCALE_BOOTSTRAP, seed=7
         ),
     )
-    _, tracemalloc_peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
     # ru_maxrss is the process-lifetime peak (KB on Linux) — the stage's
     # scale dwarfs the smoke stages before it, so it bounds this chain.
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    tracemalloc_peak_mb = tracemalloc_peak / (1024.0 * 1024.0)
     nbytes_mb = panel.columns.nbytes / (1024.0 * 1024.0)
-    print(
-        f"  CSR store {nbytes_mb:.1f} MB, tracemalloc peak "
-        f"{tracemalloc_peak_mb:.1f} MB, process peak RSS {peak_rss_mb:.1f} MB"
-    )
+    print(f"  CSR store {nbytes_mb:.1f} MB, process peak RSS {peak_rss_mb:.1f} MB")
 
     parity_config = _scale_config(parity_users)
     parity_executor = ShardExecutor(backend="thread", workers=2, shard_size=97)
@@ -624,7 +617,6 @@ def _scale_stage(scale_users: int, parity_users: int) -> dict:
         "collect_sharded_seconds": collect_s,
         "stream_collect_seconds": stream_s,
         "stream_bootstrap_seconds": bootstrap_s,
-        "tracemalloc_peak_mb": tracemalloc_peak_mb,
         "peak_rss_mb": peak_rss_mb,
         "assignment": {
             key: value for key, value in assignment.items() if key != "parity"

@@ -28,13 +28,18 @@ from .taxonomy import TOPICS, interest_name, topic_for_index
 #: value, so they all reference this constant.
 DEFAULT_WORLD_POPULATION = 1_500_000_000.0
 
+#: Id spans up to this many times the catalog size get a dense id -> position
+#: table; every generated catalog (ids ``0..n-1``) qualifies.
+_DENSE_SPAN_FACTOR = 4
+
 
 class InterestCatalog:
     """An immutable collection of :class:`Interest` objects.
 
-    Popularity lookups (:meth:`rarest`, :meth:`most_popular`) and topic
-    lookups (:meth:`by_topic`, :meth:`topics`) are served from an audience
-    ordering and a topic index, each built once on first use.  Memoising
+    Popularity lookups (:meth:`rarest`, :meth:`most_popular`), topic
+    lookups (:meth:`by_topic`, :meth:`topics`) and id lookups
+    (:meth:`positions`) are served from an audience ordering, a topic index
+    and an id index, each built once on first use.  Memoising
     them is sound only because the catalog never changes after
     construction; array accessors hand out copies so callers cannot
     corrupt them.
@@ -55,6 +60,7 @@ class InterestCatalog:
             [self._interests[i].audience_size for i in self._ids], dtype=np.int64
         )
         self._ranks: tuple[np.ndarray, np.ndarray] | None = None
+        self._id_index: np.ndarray | None = None
         self._by_audience: tuple[Interest, ...] | None = None
         self._by_topic: dict[str, tuple[Interest, ...]] | None = None
 
@@ -118,6 +124,33 @@ class InterestCatalog:
         """Sorted array of all interest ids."""
         return self._ids.copy()
 
+    def positions(self, interest_ids: np.ndarray | Sequence[int]) -> np.ndarray:
+        """Index of each id in :attr:`interest_ids`, in the shape of the input.
+
+        Ids spanning at most ``_DENSE_SPAN_FACTOR`` times the catalog size
+        are looked up in a dense id -> position table (built once); wider
+        spans fall back to a ``searchsorted``.  Raises
+        :class:`UnknownInterestError` naming the first unknown id in C order.
+        """
+        ids = np.asarray(interest_ids, dtype=np.int64)
+        if self._id_index is None:
+            # An empty table selects the searchsorted fallback.
+            span = int(self._ids[-1] - self._ids[0]) + 1
+            index = np.empty(0, dtype=np.int64)
+            if span <= _DENSE_SPAN_FACTOR * len(self._ids):
+                # Holes point at position 0, which the check below rejects.
+                index = np.zeros(span, dtype=np.int64)
+                index[self._ids - self._ids[0]] = np.arange(len(self._ids))
+            self._id_index = index
+        if self._id_index.size:
+            found = self._id_index.take(ids - self._ids[0], mode="clip")
+        else:
+            found = np.minimum(np.searchsorted(self._ids, ids), len(self._ids) - 1)
+        mismatched = self._ids.take(found) != ids
+        if mismatched.any():
+            raise UnknownInterestError(int(ids.reshape(-1)[np.argmax(mismatched)]))
+        return found
+
     # -- audience lookups ---------------------------------------------------
 
     def audience_size(self, interest_id: int) -> int:
@@ -129,12 +162,7 @@ class InterestCatalog:
 
         Raises :class:`UnknownInterestError` naming the first unknown id.
         """
-        ids = np.asarray(interest_ids, dtype=np.int64)
-        positions = np.minimum(np.searchsorted(self._ids, ids), len(self._ids) - 1)
-        known = self._ids[positions] == ids
-        if not known.all():
-            raise UnknownInterestError(int(ids[np.argmin(known)]))
-        return self._audiences[positions]
+        return self._audiences[self.positions(interest_ids)]
 
     def all_audience_sizes(self) -> np.ndarray:
         """Audience sizes of every interest in id order."""

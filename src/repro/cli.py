@@ -666,9 +666,21 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
     return parse
 
 
-#: Counts that may be zero (``--limit``) and scale divisors (``--factor``).
+#: Counts and seeds that may be zero (``--limit``, ``--seed``) and scale
+#: divisors (``--factor``).
 _non_negative_int = _int_at_least(0)
 _positive_int = _int_at_least(1)
+
+
+def _open_unit_float(text: str) -> float:
+    """argparse type for a probability strictly inside (0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return value
 
 
 def _format_bytes(count: int) -> str:
@@ -799,7 +811,12 @@ def build_parser() -> argparse.ArgumentParser:
             default=20,
             help="scale divisor applied to the paper-scale configuration (1 = full scale)",
         )
-        sub.add_argument("--seed", type=int, default=None, help="override the default seeds")
+        sub.add_argument(
+            "--seed",
+            type=_non_negative_int,
+            default=None,
+            help="override the default seeds",
+        )
 
     def add_exec(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
@@ -825,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_exec(uniqueness)
     uniqueness.add_argument(
         "--probabilities",
-        type=float,
+        type=_open_unit_float,
         nargs="+",
         default=[0.5, 0.8, 0.9, 0.95],
         help="probabilities P for which N_P is estimated",

@@ -87,6 +87,16 @@ class VASFitBatch:
         return int(self.slope_a.size)
 
 
+def at_floor(values: np.ndarray, floor: int) -> np.ndarray:
+    """Elementwise: has the value reached the reporting floor (``NaN`` has not)?
+
+    The one floor test of the fit: :func:`truncate_at_floor`,
+    :func:`fit_vas_many` and the bootstrap's column walk all stop a VAS row
+    at its first value for which this holds (or its first ``NaN``).
+    """
+    return np.asarray(values) <= floor + 1e-9
+
+
 def truncate_at_floor(vas: np.ndarray, floor: int) -> np.ndarray:
     """Keep VAS points up to and including the first floored value.
 
@@ -99,10 +109,10 @@ def truncate_at_floor(vas: np.ndarray, floor: int) -> np.ndarray:
     valid = ~np.isnan(values)
     if not valid.all():
         values = values[: int(np.argmax(~valid))]
-    at_floor = np.nonzero(values <= floor + 1e-9)[0]
-    if at_floor.size == 0:
+    floored = np.nonzero(at_floor(values, floor))[0]
+    if floored.size == 0:
         return values
-    return values[: int(at_floor[0]) + 1]
+    return values[: int(floored[0]) + 1]
 
 
 def fit_vas_many(vas_rows: np.ndarray, floor: int) -> VASFitBatch:
@@ -112,7 +122,9 @@ def fit_vas_many(vas_rows: np.ndarray, floor: int) -> VASFitBatch:
     ``N = k + 1`` interests.  Floor truncation, the masked least-squares
     solve and the cutpoint formula are evaluated with row-wise array
     operations — no Python loop over replicates — and each row matches the
-    scalar :func:`fit_vas` (which delegates here) bit-for-bit.
+    scalar :func:`fit_vas` (which delegates here) bit-for-bit.  Cells after a
+    row's first floored (:func:`at_floor`) or ``NaN`` value are masked out, so
+    their contents never change the result.
     """
     if floor < 1:
         raise ModelError("floor must be at least 1")
@@ -126,9 +138,9 @@ def fit_vas_many(vas_rows: np.ndarray, floor: int) -> VASFitBatch:
     # (keeping the first floored point, as the paper does).
     first_invalid = np.where(invalid.any(axis=1), np.argmax(invalid, axis=1), width)
     before_nan = column[None, :] < first_invalid[:, None]
-    at_floor = (rows <= floor + 1e-9) & before_nan
-    has_floor = at_floor.any(axis=1)
-    first_floor = np.where(has_floor, np.argmax(at_floor, axis=1), width)
+    floored = at_floor(rows, floor) & before_nan
+    has_floor = floored.any(axis=1)
+    first_floor = np.where(has_floor, np.argmax(floored, axis=1), width)
     lengths = np.minimum(first_invalid, np.where(has_floor, first_floor + 1, width))
     mask = column[None, :] < lengths[:, None]
     safe = np.where(mask, rows, 1.0)

@@ -19,8 +19,10 @@ accumulators, ``finalize()`` once — and produces a
 the valid samples plus per-user prefix lengths) that supports the same
 quantile interface *bit-identically* to the dense matrix, while the full
 users x N sample matrix is never materialised.  The bootstrap reads either
-store through its cached :class:`RankTable` (both build identical ones), which
-sorts small-integer rank lanes in place of float64 samples, bit-identically.
+store through its cached :class:`RankTable` (both build identical ones):
+:meth:`RankTable.resample_vas` sorts small-integer rank lanes in place of
+float64 samples, column by column, and stops each replicate's quantile row
+where the log-log fit stops reading it — bit-identical cutpoints throughout.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy as np
 
 from .._rng import SeedLike, as_generator
 from ..errors import InsufficientDataError, ModelError
+from .fitting import at_floor
 
 
 @dataclass(frozen=True)
@@ -153,6 +156,8 @@ class RankTable:
     ``patterns[k, p]`` says whether membership pattern ``p`` (a prefix
     length, for collected samples) covers column ``k``; ``user_pattern``
     maps users to patterns, so lane counts are a histogram of pattern ids.
+    Rows of ``ranks`` are C-contiguous, so gathering one column's lanes for
+    a block of replicates is one ``take`` from a row the size of the panel.
     """
 
     ranks: np.ndarray
@@ -186,43 +191,57 @@ class RankTable:
             user_pattern=user_pattern.reshape(-1),
         )
 
-    def resample_quantiles(
-        self, indices: np.ndarray, q_percents: Sequence[float]
+    def resample_vas(
+        self, indices: np.ndarray, q_percents: Sequence[float], floor: int
     ) -> np.ndarray:
-        """Per-replicate ``nanpercentile`` over an ``(R, draws)`` index matrix.
+        """Per-replicate VAS rows of an ``(R, draws)`` index matrix, to each stop.
 
-        Returns ``(len(q_percents), R, N)``, bit-identical to
-        :func:`numpy.nanpercentile` (``axis=0``) on each ``matrix[indices[r]]``:
-        a fresh ``(N, R, draws)`` block of rank lanes is gathered and sorted in
-        place, and min-ranks sort as their floats do and decode to exactly the
-        float at each sorted position.  The interpolation is NumPy's, with the
-        ``gamma >= 0.5`` branch of its ``_lerp``.
+        Returns ``(len(q_percents), R, N)``.  Row ``(q, r)`` holds
+        :func:`numpy.nanpercentile` of each column of ``matrix[indices[r]]``
+        bit-for-bit up to and including its first value that is floored
+        (:func:`~repro.core.fitting.at_floor`) or ``NaN`` — the *stop*, after
+        which :func:`~repro.core.fitting.fit_vas_many` reads nothing — and
+        ``NaN`` after it.
+
+        The columns are walked in order, N = 1, 2, ...: each gathers the rank
+        lanes of only the replicates with a row not yet stopped, sorts them in
+        place and decodes the two order statistics every quantile
+        interpolates between, with NumPy's interpolation (the ``gamma >=
+        0.5`` branch of its ``_lerp``).  Min-ranks sort as their floats do and
+        decode to exactly the float at each sorted position; lane counts come
+        from one histogram of the drawn users' membership patterns.
         """
         indices = np.asarray(indices)
         if indices.ndim != 2:
-            raise ModelError("resample_quantiles expects a 2-D (R, draws) index matrix")
+            raise ModelError("resample_vas expects a 2-D (R, draws) index matrix")
+        indices = indices.astype(np.intp, copy=False)  # converted once, not per take
         quantiles = np.asarray([float(q) for q in q_percents], dtype=float) / 100.0
-        replicates, draws = indices.shape
+        quantiles = quantiles[:, None]
+        replicates = indices.shape[0]
         width, n_patterns = self.patterns.shape
-        lanes = self.ranks.take(indices.reshape(-1), axis=1).reshape(
-            width, replicates, draws
-        )
-        lanes.sort(axis=-1)  # in place; the missing-cell sentinel sorts last
         keys = self.user_pattern.take(indices)
         keys += n_patterns * np.arange(replicates)[:, None]  # an id range per replicate
         histogram = np.bincount(keys.reshape(-1), minlength=replicates * n_patterns)
+        del keys  # an (R, draws) int64 block: free it before the column walk
         counts = self.patterns @ histogram.reshape(replicates, n_patterns).T  # (N, R)
-        top = counts - 1  # position of the largest valid entry
+        results = np.full((quantiles.size, replicates, width), np.nan)
+        live = np.ones((quantiles.size, replicates), dtype=bool)
+        for k in range(width):
+            rows = np.flatnonzero(live.any(axis=0))
+            if rows.size == 0:
+                break
+            drawn = indices if rows.size == replicates else indices[rows]
+            lanes = self.ranks[k].take(drawn)
+            lanes.sort(axis=-1)  # in place; the missing-cell sentinel sorts last
+            lane_index = np.arange(rows.size)
+            top = counts[k, rows] - 1  # position of the largest valid entry
 
-        def decode(positions: np.ndarray) -> np.ndarray:
-            # Only an all-missing lane reads its sentinel: clipped, then masked.
-            at = np.maximum(positions, 0)[..., None]
-            ranks = np.take_along_axis(lanes, at, axis=-1)[..., 0]
-            return self.values.take(self.offsets[:, None] + ranks, mode="clip")
+            def decode(positions: np.ndarray) -> np.ndarray:
+                # Only an all-missing lane reads its sentinel: clipped, then masked.
+                ranks = lanes[lane_index, np.maximum(positions, 0)]
+                return self.values.take(self.offsets[k] + ranks, mode="clip")
 
-        results = np.empty((quantiles.size, replicates, width))
-        for position, quantile in enumerate(quantiles):
-            virtual = quantile * top
+            virtual = quantiles * top
             previous = np.floor(virtual)
             gamma = virtual - previous
             low = previous.astype(np.int64)
@@ -237,7 +256,9 @@ class RankTable:
                 upper - difference * (1.0 - gamma),
                 lower + difference * gamma,
             )
-            results[position] = np.where(counts == 0, np.nan, interpolated).T
+            values = np.where((top >= 0) & live[:, rows], interpolated, np.nan)
+            results[:, rows, k] = values
+            live[:, rows] = ~(np.isnan(values) | at_floor(values, floor))
         return results
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .._rng import SeedLike, as_generator, derive_generator, stable_hash
 from ..catalog import InterestCatalog
-from ..errors import ModelError, UnknownInterestError
+from ..errors import ModelError
 from ..population.columnar import PanelColumns
 
 
@@ -83,12 +83,12 @@ class LeastPopularSelection:
 
         The flat id fragment and per-row lengths come straight off the CSR
         arrays — no user objects.  Every id is resolved to its catalog
-        position with one ``searchsorted``; the catalog's
+        position with :meth:`~repro.catalog.InterestCatalog.positions`; its
         :meth:`~repro.catalog.InterestCatalog.audience_ranks` already encode
         the ``(audience, id)`` order, so one in-place sort of the keys
         ``row * n_catalog + rank`` orders every row at once, and
         ``key % n_catalog`` decodes back to ids.  An id missing from the
-        catalog raises :class:`UnknownInterestError`.
+        catalog raises :class:`~repro.errors.UnknownInterestError`.
         """
         if max_interests < 1:
             raise ModelError("max_interests must be >= 1")
@@ -97,12 +97,7 @@ class LeastPopularSelection:
             columns.indptr[start] : columns.indptr[stop]
         ].astype(np.int64)
         full_counts = np.diff(columns.indptr[start : stop + 1])
-        sorted_ids = catalog.interest_ids
-        positions = np.searchsorted(sorted_ids, flat_ids)
-        positions = np.minimum(positions, len(sorted_ids) - 1)
-        mismatched = sorted_ids[positions] != flat_ids
-        if mismatched.any():
-            raise UnknownInterestError(int(flat_ids[np.argmax(mismatched)]))
+        positions = catalog.positions(flat_ids)
         ranks, ids_by_rank = catalog.audience_ranks()
         n_catalog = len(ranks)
         keys = np.repeat(

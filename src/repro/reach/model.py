@@ -35,8 +35,8 @@ and one fresh jitter Generator per prefix, i.e. O(N^2) work per user.  The
 one kernel, :meth:`StatisticalReachModel.prefix_audiences_panel`, instead
 takes a padded ``(n_users, width)`` matrix of ordered id rows and:
 
-* caches the catalog marginals and topic codes as id-indexed numpy arrays
-  (built once, looked up with a single ``searchsorted`` per query);
+* caches the catalog marginals and topic codes as position-indexed numpy
+  arrays (built once, addressed through the catalog's dense id index);
 * tracks the rarest-so-far interest with ``minimum.accumulate`` and turns
   the conditional-retention product into cumulative log-sums along each
   row, so every prefix intersection probability of the panel comes out of
@@ -66,7 +66,7 @@ from .._rng import stable_hash
 from ..cache import BuildCache, catalog_stage_key, stable_fingerprint
 from ..catalog import DEFAULT_WORLD_POPULATION, InterestCatalog
 from ..config import CatalogConfig, ReachModelConfig
-from ..errors import ConfigurationError, UnknownInterestError
+from ..errors import ConfigurationError
 from .backend import ReachBackend
 from .countries import location_fraction, total_user_base
 from .jitter import (
@@ -180,8 +180,8 @@ class StatisticalReachModel(ReachBackend):
         self._jitter_key = jitter_key(
             stable_hash(self._config.seed, "reach-jitter")
         )
-        # Id-indexed catalog arrays, built lazily on first use.
-        self._sorted_ids: np.ndarray | None = None
+        # Position-indexed catalog arrays, built lazily on first use.
+        self._first_id = 0
         self._marginal_array: np.ndarray | None = None
         self._topic_codes: np.ndarray | None = None
         self._n_topic_codes: int = 0
@@ -269,7 +269,8 @@ class StatisticalReachModel(ReachBackend):
         ids = np.asarray([int(i) for i in interest_ids], dtype=np.int64)
         if ids.size == 0:
             return 0.0
-        probs = self._marginal_array[self._positions(ids)]
+        positions = self._positions(ids)
+        probs = self._marginal_array[positions]
         # cumprod keeps the reduction order identical for any padded batch
         # evaluation of the same combination.
         return float(1.0 - np.cumprod(1.0 - probs)[-1])
@@ -342,12 +343,8 @@ class StatisticalReachModel(ReachBackend):
         # stay in bounds; their values are garbage and masked out at the end
         # (every kernel stage is prefix-local, so right-hand padding can
         # never leak into a valid cell).
-        safe_ids = np.where(valid, ids, self._sorted_ids[0])
-        positions = np.searchsorted(self._sorted_ids, safe_ids)
-        positions = np.minimum(positions, len(self._sorted_ids) - 1)
-        mismatched = (self._sorted_ids[positions] != safe_ids) & valid
-        if mismatched.any():
-            raise UnknownInterestError(int(safe_ids[mismatched][0]))
+        safe_ids = np.where(valid, ids, self._first_id)
+        positions = self._catalog.positions(safe_ids)
         probs = self._marginal_array[positions]
         topics = self._topic_codes[positions]
         intersections = self._prefix_probabilities_panel(probs, topics)
@@ -364,35 +361,29 @@ class StatisticalReachModel(ReachBackend):
     # -- internals ------------------------------------------------------------
 
     def _ensure_catalog_arrays(self) -> None:
-        if self._sorted_ids is not None:
+        if self._topic_codes is not None:
             return
-        sorted_ids = self._catalog.interest_ids
         audiences = self._catalog.all_audience_sizes().astype(float)
         marginal_array = np.minimum(1.0, audiences / self._world)
         codes: dict[str, int] = {}
-        topic_codes = np.empty(len(sorted_ids), dtype=np.int64)
+        topic_codes = np.empty(len(self._catalog), dtype=np.int64)
         # Catalog iteration yields interests in ascending id order, matching
-        # the sorted id / audience arrays.
+        # the catalog's positions.
         for index, interest in enumerate(self._catalog):
             topic_codes[index] = codes.setdefault(interest.topic, len(codes))
-        # Publish the guard attribute (_sorted_ids) last: concurrent shard
+        # Publish the guard attribute (_topic_codes) last: concurrent shard
         # kernels on a thread runner may race into this builder, and under
         # the GIL the worst case must be a redundant rebuild of identical
         # arrays, never a half-initialised view.
+        self._first_id = int(self._catalog.interest_ids[0])
         self._marginal_array = marginal_array
-        self._topic_codes = topic_codes
         self._n_topic_codes = len(codes)
-        self._sorted_ids = sorted_ids
+        self._topic_codes = topic_codes
 
     def _positions(self, ids: np.ndarray) -> np.ndarray:
         """Positions of ``ids`` in the id-indexed catalog arrays."""
         self._ensure_catalog_arrays()
-        positions = np.searchsorted(self._sorted_ids, ids)
-        positions = np.minimum(positions, len(self._sorted_ids) - 1)
-        mismatched = self._sorted_ids[positions] != ids
-        if mismatched.any():
-            raise UnknownInterestError(int(ids[np.argmax(mismatched)]))
-        return positions
+        return self._catalog.positions(ids)
 
     def _prefix_probabilities_panel(
         self, probs: np.ndarray, topics: np.ndarray

@@ -15,7 +15,12 @@ replaced, kept here so the parity tests can compare against them:
   ordered id list, the query family the matrix endpoint answers in bulk;
 * :func:`collect_per_cell` — one ``estimate_reach`` call per (user, N) cell;
 * :func:`risk_report_per_occurrence` — one single-interest
-  ``estimate_reach`` call per (user, interest) occurrence.
+  ``estimate_reach`` call per (user, interest) occurrence;
+* :func:`resample_quantiles` — the full-width rank-lane bootstrap kernel:
+  every column of every replicate gathered and sorted, with no stop at the
+  fit's floor (``RankTable.resample_vas`` walks only what a fit reads);
+* :func:`stop_rows` — a full-width VAS block cut the way the fit cuts it,
+  row by row through the scalar ``truncate_at_floor``.
 
 Importable from any test module (``from _oracles import ...``), like
 ``tests/_builders.py``.
@@ -31,7 +36,8 @@ from repro._rng import derive_generator
 from repro.adsapi import AdsManagerAPI, TargetingSpec
 from repro.catalog import InterestCatalog
 from repro.core import LeastPopularSelection, RandomSelection
-from repro.core.quantiles import AudienceSamples
+from repro.core import truncate_at_floor
+from repro.core.quantiles import AudienceSamples, RankTable
 from repro.errors import ModelError, PanelError
 from repro.fdvt import DEFAULT_THRESHOLDS, InterestRiskEntry, RiskReport, RiskThresholds
 from repro.population import SyntheticUser
@@ -229,3 +235,76 @@ def risk_report_per_occurrence(
         )
     entries.sort(key=lambda entry: (entry.audience_size, entry.interest_id))
     return RiskReport(user_id=user.user_id, entries=tuple(entries))
+
+
+# -- the full-width bootstrap kernel ---------------------------------------------------
+
+
+def resample_quantiles(
+    table: RankTable, indices: np.ndarray, q_percents: Sequence[float]
+) -> np.ndarray:
+    """Per-replicate ``nanpercentile`` over an ``(R, draws)`` index matrix.
+
+    Returns ``(len(q_percents), R, N)``, bit-identical to
+    :func:`numpy.nanpercentile` (``axis=0``) on each ``matrix[indices[r]]``:
+    a fresh ``(N, R, draws)`` block of rank lanes is gathered and sorted in
+    place, and min-ranks sort as their floats do and decode to exactly the
+    float at each sorted position.  The interpolation is NumPy's, with the
+    ``gamma >= 0.5`` branch of its ``_lerp``.
+    """
+    indices = np.asarray(indices)
+    if indices.ndim != 2:
+        raise ModelError("resample_quantiles expects a 2-D (R, draws) index matrix")
+    quantiles = np.asarray([float(q) for q in q_percents], dtype=float) / 100.0
+    replicates, draws = indices.shape
+    width, n_patterns = table.patterns.shape
+    lanes = table.ranks.take(indices.reshape(-1), axis=1).reshape(
+        width, replicates, draws
+    )
+    lanes.sort(axis=-1)  # in place; the missing-cell sentinel sorts last
+    keys = table.user_pattern.take(indices)
+    keys += n_patterns * np.arange(replicates)[:, None]  # an id range per replicate
+    histogram = np.bincount(keys.reshape(-1), minlength=replicates * n_patterns)
+    counts = table.patterns @ histogram.reshape(replicates, n_patterns).T  # (N, R)
+    top = counts - 1  # position of the largest valid entry
+
+    def decode(positions: np.ndarray) -> np.ndarray:
+        # Only an all-missing lane reads its sentinel: clipped, then masked.
+        at = np.maximum(positions, 0)[..., None]
+        ranks = np.take_along_axis(lanes, at, axis=-1)[..., 0]
+        return table.values.take(table.offsets[:, None] + ranks, mode="clip")
+
+    results = np.empty((quantiles.size, replicates, width))
+    for position, quantile in enumerate(quantiles):
+        virtual = quantile * top
+        previous = np.floor(virtual)
+        gamma = virtual - previous
+        low = previous.astype(np.int64)
+        high = low + 1
+        at_top = virtual >= top
+        low = np.where(at_top, top, low)
+        high = np.where(at_top, top, high)
+        lower, upper = decode(low), decode(high)
+        difference = upper - lower
+        interpolated = np.where(
+            gamma >= 0.5,
+            upper - difference * (1.0 - gamma),
+            lower + difference * gamma,
+        )
+        results[position] = np.where(counts == 0, np.nan, interpolated).T
+    return results
+
+
+def stop_rows(vas_block: np.ndarray, floor: int) -> np.ndarray:
+    """Each row of a ``(..., N)`` VAS block kept up to its stop, ``NaN`` after.
+
+    The stop is the row's first floored or ``NaN`` value; the kept prefix is
+    the scalar ``truncate_at_floor`` of the row (which drops a ``NaN`` stop,
+    so that cell reads ``NaN`` either way).
+    """
+    block = np.asarray(vas_block, dtype=float)
+    out = np.full_like(block, np.nan)
+    for index in np.ndindex(block.shape[:-1]):
+        kept = truncate_at_floor(block[index], floor)
+        out[index][: kept.size] = kept
+    return out

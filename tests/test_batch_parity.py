@@ -29,7 +29,13 @@ from repro.errors import InsufficientDataError, ModelError
 from repro.reach import StatisticalReachModel, country_codes
 from repro.simclock import SimClock
 
-from _oracles import collect_per_cell, prefix_audiences, prefix_chain
+from _oracles import (
+    collect_per_cell,
+    prefix_audiences,
+    prefix_chain,
+    resample_quantiles,
+    stop_rows,
+)
 
 
 @pytest.fixture(scope="module")
@@ -289,7 +295,7 @@ class TestRankLaneQuantiles:
             indices = rng.integers(0, users, size=(int(rng.integers(1, 5)), users))
             qs = sorted(rng.uniform(1.0, 99.0, size=3))
             table = AudienceSamples(matrix=matrix, floor=20).rank_table()
-            ours = table.resample_quantiles(indices, qs)
+            full = resample_quantiles(table, indices, qs)
             import warnings
 
             with warnings.catch_warnings():
@@ -298,12 +304,17 @@ class TestRankLaneQuantiles:
                     [np.nanpercentile(matrix[row], qs, axis=0) for row in indices],
                     axis=1,
                 )
-            assert np.array_equal(ours, reference, equal_nan=True)
+            assert np.array_equal(full, reference, equal_nan=True)
+            assert np.array_equal(
+                table.resample_vas(indices, qs, 20),
+                stop_rows(reference, 20),
+                equal_nan=True,
+            )
 
     def test_rejects_non_2d_indices(self):
         table = AudienceSamples(matrix=np.ones((3, 4)), floor=20).rank_table()
         with pytest.raises(ModelError):
-            table.resample_quantiles(np.zeros(3, dtype=int), [50.0])
+            table.resample_vas(np.zeros(3, dtype=int), [50.0], 20)
 
 
 class TestBootstrapVectorised:

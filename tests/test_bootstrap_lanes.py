@@ -1,11 +1,16 @@
 """The rank-coded bootstrap: its quantile kernel, both rank tables and the routes.
 
-``RankTable.resample_quantiles`` is driven against a per-lane
-``nanpercentile`` oracle on random ragged matrices and resamples;
-``bootstrap_cutpoints`` is checked on the dense store, the streamed store
-and a thread executor (and on both stores at the ``int32`` rank width)
-against the per-replicate ``nanpercentile`` + ``fit_vas`` loop it replaced,
-and a sha256 golden pins its exact output for one fixed matrix and seed.
+The full-width rank-lane kernel (``_oracles.resample_quantiles``) is driven
+against a per-lane ``nanpercentile`` oracle on every column of random ragged
+matrices and resamples, and ``RankTable.resample_vas`` — the column walk
+that stops each row where the fit stops reading — against that kernel cut at
+each row's stop; the walk's cutpoints must equal ``fit_vas_many`` over the
+full-width block on floor-heavy, ragged, never-floored and single-user
+layouts and at the ``int32`` rank width.  ``bootstrap_cutpoints`` is checked
+on the dense store, the streamed store and a thread executor (and on both
+stores at the ``int32`` rank width) against the per-replicate
+``nanpercentile`` + ``fit_vas`` loop it replaced, and a sha256 golden pins
+its exact output for one fixed matrix and seed.
 """
 
 from __future__ import annotations
@@ -24,10 +29,13 @@ from repro.core import (
     AudienceSamples,
     bootstrap_cutpoints,
     fit_vas,
+    fit_vas_many,
     percentile_interval,
 )
 from repro.errors import ModelError
 from repro.exec import ShardExecutor
+
+from _oracles import resample_quantiles, stop_rows
 
 QS = (50.0, 80.0, 90.0, 95.0)
 
@@ -148,14 +156,99 @@ class TestLaneKernelProperties:
         matrix, indices, qs = block
         reference = _lane_oracle(np.moveaxis(matrix[indices], -1, 0), qs)
         table = AudienceSamples(matrix=matrix, floor=20).rank_table()
-        ours = table.resample_quantiles(indices, qs)
-        assert ours.shape == (len(qs), indices.shape[0], matrix.shape[1])
-        assert np.array_equal(ours, reference, equal_nan=True)
+        full = resample_quantiles(table, indices, qs)
+        assert full.shape == (len(qs), indices.shape[0], matrix.shape[1])
+        assert np.array_equal(full, reference, equal_nan=True)
+        walked = table.resample_vas(indices, qs, 20)
+        assert np.array_equal(walked, stop_rows(reference, 20), equal_nan=True)
         valid = ~np.isnan(matrix)
         prefix = np.arange(matrix.shape[1])[None, :] < valid.sum(axis=1)[:, None]
         if np.array_equal(valid, prefix):  # the streamed store needs prefix rows
             streamed = AudienceAccumulator().update(AudienceSamples(matrix, 20))
             _assert_same_table(streamed.finalize().rank_table(), table)
+
+
+_FIT_FIELDS = ("slope_a", "intercept_b", "r_squared", "n_points", "cutpoints")
+
+
+def _assert_same_fits(full: np.ndarray, walked: np.ndarray, floor: int) -> None:
+    """``fit_vas_many`` on each quantile's walked rows equals the full-width fit."""
+    for full_rows, walked_rows in zip(full, walked):
+        expected = fit_vas_many(full_rows, floor)
+        produced = fit_vas_many(walked_rows, floor)
+        for field in _FIT_FIELDS:
+            assert np.array_equal(
+                getattr(produced, field), getattr(expected, field), equal_nan=True
+            ), field
+
+
+@st.composite
+def walk_cases(draw):
+    """A floored VAS-shaped matrix in one of several layouts, draws and a chunk."""
+    width = draw(st.integers(1, 8))
+    users = draw(st.integers(1, 14))
+    replicates = draw(st.integers(1, 6))
+    layout = draw(
+        st.sampled_from(
+            ["ragged", "nan_tails", "floor_heavy", "never_floored", "floored_column_0"]
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = 10.0 ** (4.5 - 3.5 * np.log10(np.arange(1, width + 1) + 1.0))
+    matrix = np.maximum(
+        np.round(base * 10.0 ** rng.normal(0.0, 0.6, size=(users, width)), 1), 20.0
+    )
+    tails = np.arange(width)[None, :] >= rng.integers(1, width + 1, size=users)[:, None]
+    if layout == "ragged":
+        matrix[rng.random(matrix.shape) < draw(st.floats(0.0, 0.8))] = np.nan
+    elif layout == "nan_tails":
+        matrix[tails] = np.nan
+    elif layout == "floor_heavy":
+        matrix[rng.random(matrix.shape) < draw(st.floats(0.2, 0.9))] = 20.0
+        matrix[tails] = np.nan
+    elif layout == "never_floored":
+        matrix += 21.0
+    else:
+        matrix[:, 0] = 20.0
+    indices = rng.integers(0, users, size=(replicates, users))
+    qs = draw(
+        st.lists(st.floats(0.5, 99.5), min_size=1, max_size=4, unique=True).map(sorted)
+    )
+    return matrix, indices, qs, draw(st.integers(1, replicates))
+
+
+class TestColumnWalkProperties:
+    """The column walk reads only what a fit reads, so every cutpoint is unchanged."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=walk_cases(), seed=st.integers(0, 2**32 - 1))
+    @example(  # a single user, drawn every time
+        case=(np.array([[900.0, 80.0, 20.0, 20.0]]), np.zeros((3, 1), int), [50.0], 2),
+        seed=0,
+    )
+    @example(  # every row stops at column 0
+        case=(np.full((6, 5), 20.0), np.ones((2, 6), int), [10.0, 95.0], 1),
+        seed=1,
+    )
+    def test_walk_matches_the_full_width_fit(self, case, seed):
+        matrix, indices, qs, chunk = case
+        samples = AudienceSamples(matrix=matrix, floor=20)
+        table = samples.rank_table()
+        full = resample_quantiles(table, indices, qs)
+        walked = table.resample_vas(indices, qs, 20)
+        assert np.array_equal(walked, stop_rows(full, 20), equal_nan=True)
+        _assert_same_fits(full, walked, 20)
+        # The chunked bootstrap replays one up-front draw through the oracle.
+        replicates, users = indices.shape
+        draws = as_generator(seed).integers(0, users, size=(replicates, users))
+        expected = resample_quantiles(table, draws, qs)
+        produced = bootstrap_cutpoints(
+            samples, qs, n_bootstrap=replicates, seed=seed, chunk_size=chunk
+        )
+        for q, rows in zip(qs, expected):
+            assert np.array_equal(
+                produced[q], fit_vas_many(rows, 20).cutpoints, equal_nan=True
+            )
 
 
 class TestLaneGathers:
@@ -187,10 +280,10 @@ class TestLaneGathers:
             table = store.rank_table()
             assert store.rank_table() is table
             before = table.ranks.copy()
-            first = table.resample_quantiles(indices, QS)
+            first = table.resample_vas(indices, QS, store.floor)
             assert np.array_equal(table.ranks, before)
             assert np.array_equal(
-                table.resample_quantiles(indices, QS), first, equal_nan=True
+                table.resample_vas(indices, QS, store.floor), first, equal_nan=True
             )
         _assert_same_table(streamed.rank_table(), samples.rank_table())
 
@@ -240,6 +333,15 @@ class TestInt32RankPath:
         reference = _scalar_bootstrap_reference(samples, QS, n_bootstrap=3, seed=9)
         for q in QS:
             assert np.array_equal(produced[q], reference[q], equal_nan=True)
+
+    def test_walk_matches_the_full_width_fit(self, samples):
+        table = samples.rank_table()
+        rng = np.random.default_rng(4)
+        indices = rng.integers(0, samples.n_users, size=(3, samples.n_users))
+        full = resample_quantiles(table, indices, QS)
+        walked = table.resample_vas(indices.astype(np.int32), QS, samples.floor)
+        assert np.array_equal(walked, stop_rows(full, samples.floor), equal_nan=True)
+        _assert_same_fits(full, walked, samples.floor)
 
     def test_streamed_table_matches_dense(self, samples):
         streamed = AudienceAccumulator().update(samples).finalize()

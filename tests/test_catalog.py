@@ -334,6 +334,47 @@ class TestCatalogLookupParity:
         assert str(unknown) in str(caught.value)
 
 
+def _strided_catalog(stride: int) -> InterestCatalog:
+    """200 interests with ids ``stride * i + 1``, in shuffled construction order."""
+    generated = InterestCatalog.generate(CatalogConfig(n_interests=200, seed=8))
+    interests = [
+        Interest(stride * i.interest_id + 1, i.name, i.topic, i.audience_size)
+        for i in generated
+    ]
+    np.random.default_rng(2).shuffle(interests)
+    return InterestCatalog(interests)
+
+
+class TestPositions:
+    """One id -> position lookup: a dense table, or ``searchsorted`` on wide spans."""
+
+    @pytest.fixture(scope="class", params=[1, 3, 50], ids=["dense", "holes", "wide"])
+    def catalog(self, request) -> InterestCatalog:
+        return _strided_catalog(request.param)
+
+    def test_positions_index_the_sorted_ids(self, catalog):
+        ids = np.random.default_rng(5).choice(catalog.interest_ids, size=(7, 30))
+        positions = catalog.positions(ids)
+        assert positions.shape == ids.shape
+        assert np.array_equal(catalog.interest_ids[positions], ids)
+        assert np.array_equal(
+            positions, np.searchsorted(catalog.interest_ids, ids)
+        )
+        assert catalog.positions([]).shape == (0,)
+
+    @pytest.mark.parametrize("unknown", [0, -5, 10**9, 2**62, "gap"])
+    def test_names_the_first_unknown_id_in_c_order(self, catalog, unknown):
+        known = catalog.interest_ids
+        if unknown == "gap":
+            unknown = int(known[0]) + 1
+            if unknown in catalog:  # the dense catalog has no gap: past its end
+                unknown = int(known[-1]) + 1
+        ids = np.array([[known[3], known[0]], [unknown, known[-1]], [-7, 2]])
+        with pytest.raises(UnknownInterestError) as caught:
+            catalog.positions(ids)
+        assert caught.value.interest_id == unknown
+
+
 class TestFullScaleCatalogCalibration:
     """The full-scale catalog must reproduce the Figure 2 quartiles."""
 

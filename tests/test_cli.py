@@ -78,6 +78,41 @@ class TestFactorValidation:
         assert build_parser().parse_args([*command, "--factor", "1"]).factor == 1
 
 
+class TestSeedAndProbabilityValidation:
+    """A negative ``--seed`` or a probability outside (0, 1) exits 2 at parse time."""
+
+    @pytest.mark.parametrize(
+        "command", ["uniqueness", "nanotargeting", "countermeasures", "fdvt-report"]
+    )
+    def test_negative_seed_exits_2(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "_build", _no_build)
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *FACTOR, "--seed", "-1"])
+        assert excinfo.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1.5", "0", "1", "-0.2", "nan", "half"])
+    def test_probability_outside_the_open_unit_interval_exits_2(
+        self, capsys, monkeypatch, value
+    ):
+        monkeypatch.setattr(cli, "_build", _no_build)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["uniqueness", *FACTOR, "--probabilities", "0.5", value])
+        assert excinfo.value.code == 2
+        assert "argument --probabilities:" in capsys.readouterr().err
+
+    def test_zero_seed_and_inner_probabilities_parse(self):
+        args = build_parser().parse_args(
+            ["uniqueness", "--seed", "0", "--probabilities", "0.05", "0.999"]
+        )
+        assert args.seed == 0
+        assert args.probabilities == [0.05, 0.999]
+
+
+def _no_build(args):
+    raise AssertionError("a rejected argument must stop before any build")
+
+
 class TestDatasetCommand:
     def test_writes_catalog_and_panel(self, tmp_path, capsys):
         exit_code = main(

@@ -49,7 +49,7 @@ from repro.reach import country_codes
 from repro.simclock import SimClock
 
 from _builders import fresh_legacy_api
-from _oracles import collect_per_cell
+from _oracles import collect_per_cell, resample_quantiles, stop_rows
 
 
 def _accounting(api: AdsManagerAPI) -> tuple:
@@ -650,13 +650,16 @@ class TestFusedStreamedGather:
         qs = [25.0, 50.0, 90.0, 95.0]
         for shape in ((1, 4), (3, 5), (2, dense.n_users)):
             indices = rng.integers(0, dense.n_users, size=shape)
-            ours = streamed.rank_table().resample_quantiles(indices, qs)
+            reference = self._reference(dense.matrix, indices, qs)
+            full = resample_quantiles(streamed.rank_table(), indices, qs)
+            assert np.array_equal(full, reference, equal_nan=True)
+            walked = streamed.rank_table().resample_vas(indices, qs, streamed.floor)
             assert np.array_equal(
-                ours, self._reference(dense.matrix, indices, qs), equal_nan=True
+                walked, stop_rows(reference, dense.floor), equal_nan=True
             )
             assert np.array_equal(
-                ours,
-                dense.rank_table().resample_quantiles(indices, qs),
+                walked,
+                dense.rank_table().resample_vas(indices, qs, dense.floor),
                 equal_nan=True,
             )
 
@@ -666,14 +669,21 @@ class TestFusedStreamedGather:
         qs = [10.0, 50.0, 99.0]
         table = streamed.rank_table()
         assert np.array_equal(
-            table.resample_quantiles(everyone, qs)[:, 0],
+            resample_quantiles(table, everyone, qs)[:, 0],
             dense.vas_many(qs),
+            equal_nan=True,
+        )
+        assert np.array_equal(
+            table.resample_vas(everyone, qs, dense.floor)[:, 0],
+            stop_rows(dense.vas_many(qs), dense.floor),
             equal_nan=True,
         )
         # the cached table serves every subsequent gather
         assert np.array_equal(
-            table.resample_quantiles(everyone[:, ::-1], qs),
-            self._reference(dense.matrix, everyone[:, ::-1], qs),
+            table.resample_vas(everyone[:, ::-1], qs, dense.floor),
+            stop_rows(
+                self._reference(dense.matrix, everyone[:, ::-1], qs), dense.floor
+            ),
             equal_nan=True,
         )
 

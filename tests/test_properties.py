@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from repro.adsapi import apply_reporting_floor
 from repro.adsapi.ratelimit import TokenBucket
 from repro.analysis import EmpiricalCDF
-from repro.core import AudienceSamples, fit_vas, nested_subsets, truncate_at_floor
+from repro.core import (
+    AudienceSamples,
+    fit_vas,
+    fit_vas_many,
+    nested_subsets,
+    truncate_at_floor,
+)
 from repro.core.quantiles import probability_to_percentile
 from repro.delivery import pseudonymize_ip
 from repro.errors import InsufficientDataError, ModelError
@@ -156,6 +162,47 @@ class TestFittingProperties:
         # No value before the last kept one is at or below the floor.
         if truncated.size > 1:
             assert np.all(truncated[:-1] > floor)
+
+
+@st.composite
+def vas_blocks(draw):
+    """VAS-like rows (some floored, some with NaN cells) and a floor."""
+    floor = draw(st.sampled_from([1, 20, 1000]))
+    rows = draw(st.integers(1, 8))
+    width = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = np.round(
+        10.0 ** (5.0 - 3.0 * np.log10(np.arange(1, width + 1) + 1.0))
+        * 10.0 ** rng.normal(0.0, 0.8, size=(rows, width)),
+        1,
+    )
+    block[rng.random(block.shape) < draw(st.floats(0.0, 0.5))] = floor
+    block[rng.random(block.shape) < draw(st.floats(0.0, 0.3))] = np.nan
+    return block, floor
+
+
+class TestFitStopProperties:
+    """``fit_vas_many`` reads nothing after a row's first floored or NaN cell."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        case=vas_blocks(),
+        filler=st.sampled_from([np.nan, "floor", 1e12, -5.0]),
+    )
+    def test_cells_after_the_stop_never_change_the_fit(self, case, filler):
+        block, floor = case
+        stopped = np.isnan(block) | (block <= floor + 1e-9)
+        width = block.shape[1]
+        first = np.where(stopped.any(axis=1), np.argmax(stopped, axis=1), width)
+        after = np.arange(width)[None, :] > first[:, None]
+        overwritten = block.copy()
+        overwritten[after] = floor if filler == "floor" else filler
+        expected = fit_vas_many(block, floor)
+        produced = fit_vas_many(overwritten, floor)
+        for field in ("slope_a", "intercept_b", "r_squared", "n_points", "cutpoints"):
+            assert np.array_equal(
+                getattr(produced, field), getattr(expected, field), equal_nan=True
+            ), field
 
 
 class TestNestedSubsetProperties:

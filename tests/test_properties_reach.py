@@ -1,12 +1,14 @@
 """Property-based tests on the reach model and exact-counting semantics.
 
-The last two classes pin the bulk production paths against the per-user
+The last three classes pin the bulk production paths against the per-user
 references in ``tests/_oracles.py``: the panel kernel
 (``prefix_audiences_panel``) against the 1-D prefix kernel on ragged
 matrices (empty rows, zero width, single rows, both location settings),
-and the strategies' CSR ordering hook (``order_interests_matrix_columns``)
-against the per-user orderings over arbitrary ``[start, stop)`` shard
-bounds of a store with empty rows.
+the Ads API's bulk endpoint (``estimate_reach_matrix``) and its
+reporting-floor clipping against one ``estimate_reach`` call per cell at
+floors from 1 to above every audience, and the strategies' CSR ordering
+hook (``order_interests_matrix_columns``) against the per-user orderings
+over arbitrary ``[start, stop)`` shard bounds of a store with empty rows.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.adsapi import AdsManagerAPI
 from repro.catalog import InterestCatalog
-from repro.config import CatalogConfig, ReachModelConfig
+from repro.config import CatalogConfig, PlatformConfig, ReachModelConfig
 from repro.core import LeastPopularSelection, RandomSelection
 from repro.population import PanelColumns, Population, SyntheticUser
 from repro.reach import StatisticalReachModel
+from repro.simclock import SimClock
 
-from _oracles import order_interests, prefix_audiences
+from _oracles import order_interests, prefix_audiences, prefix_chain
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -165,6 +169,45 @@ class TestPrefixAudiencesPanelProperties:
             expected = prefix_audiences(_MODEL, row, locations)
             assert np.array_equal(panel[index, : len(row)], expected)
             assert np.isnan(panel[index, len(row) :]).all()
+
+
+class TestReachMatrixFloorProperties:
+    """The bulk endpoint rounds and floor-clips exactly like one call per cell."""
+
+    @SETTINGS
+    @given(
+        shape=ragged_rows(),
+        floor=st.sampled_from([1, 20, 1_000, 100_000, 10**9]),
+        located=st.booleans(),
+    )
+    @example(shape=(3, [[]]), floor=20, located=False)
+    @example(shape=(25, [list(range(25))]), floor=10**9, located=True)
+    @example(shape=(2, [[7, 3], [5]]), floor=1, located=False)
+    def test_cells_match_the_per_cell_oracle(self, shape, floor, located):
+        width, positions = shape
+        rows = [[_IDS[p] for p in row] for row in positions]
+        counts = np.array([len(row) for row in rows], dtype=np.int64)
+        matrix = np.full((len(rows), width), -1, dtype=np.int64)
+        for index, row in enumerate(rows):
+            matrix[index, : len(row)] = row
+        locations = ("US", "ES") if located else None
+        platform = PlatformConfig(reach_floor=floor, allow_worldwide_location=True)
+        bulk_api = AdsManagerAPI(_MODEL, platform=platform, clock=SimClock())
+        cell_api = AdsManagerAPI(_MODEL, platform=platform, clock=SimClock())
+        reported = bulk_api.estimate_reach_matrix(matrix, counts, locations=locations)
+        assert reported.shape == (len(rows), width)
+        for index, row in enumerate(rows):
+            expected = [
+                float(cell_api.estimate_reach(spec).potential_reach)
+                for spec in prefix_chain(row, locations=locations)
+            ]
+            assert np.array_equal(reported[index, : len(row)], expected)
+            assert np.isnan(reported[index, len(row) :]).all()
+        valid = ~np.isnan(reported)
+        raw = _MODEL.prefix_audiences_panel(matrix, counts, locations)[valid]
+        assert (reported[valid] >= floor).all()
+        assert np.array_equal(reported[valid] == floor, np.rint(raw) <= floor)
+        assert bulk_api.call_stats() == cell_api.call_stats()
 
 
 #: Ordering pool: every interest of a 600-interest catalog that shares its

@@ -109,6 +109,13 @@ class TestIntersections:
         assert union >= largest * 0.5
         assert union >= model.audience_for(ids, combine="and")
 
+    def test_or_combination_as_a_fresh_model_s_first_query(self, model):
+        ids = [interest.interest_id for interest in list(model.catalog)[:4]]
+        fresh = StatisticalReachModel(model.catalog, model.config)
+        assert fresh.audience_for(ids, combine="or") == model.audience_for(
+            ids, combine="or"
+        )
+
     def test_unknown_combine_mode_rejected(self, model):
         ids = [next(iter(model.catalog)).interest_id]
         with pytest.raises(ConfigurationError):
