@@ -10,7 +10,7 @@ consistent.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from ..config import CatalogConfig
 from ..errors import CatalogError, UnknownInterestError
 from .interest import Interest
 from .popularity import PopularityModel
-from .taxonomy import TOPICS, interest_name, topic_for_index
+from .taxonomy import TOPICS, interest_name
 
 #: The paper's Appendix A user base: ~1.5B users over the 50 largest
 #: Facebook countries.  The catalog generation default, the worker-rebuild
@@ -33,38 +33,79 @@ DEFAULT_WORLD_POPULATION = 1_500_000_000.0
 _DENSE_SPAN_FACTOR = 4
 
 
-class InterestCatalog:
-    """An immutable collection of :class:`Interest` objects.
+class CatalogColumns(NamedTuple):
+    """The arrays a catalog is stored as, in ascending id order.
 
-    Popularity lookups (:meth:`rarest`, :meth:`most_popular`), topic
-    lookups (:meth:`by_topic`, :meth:`topics`) and id lookups
-    (:meth:`positions`) are served from an audience ordering, a topic index
-    and an id index, each built once on first use.  Memoising
-    them is sound only because the catalog never changes after
-    construction; array accessors hand out copies so callers cannot
-    corrupt them.
+    ``topic_codes`` index the ``topics`` table; ``names`` is ``None`` (or
+    empty) when names derive from :func:`~repro.catalog.taxonomy.interest_name`,
+    as in generated catalogs.
     """
 
-    def __init__(self, interests: Iterable[Interest]) -> None:
-        self._interests: dict[int, Interest] = {}
-        for interest in interests:
-            if interest.interest_id in self._interests:
-                raise CatalogError(
-                    f"duplicate interest id: {interest.interest_id}"
-                )
-            self._interests[interest.interest_id] = interest
-        if not self._interests:
-            raise CatalogError("a catalog must contain at least one interest")
-        self._ids = np.array(sorted(self._interests), dtype=np.int64)
-        self._audiences = np.array(
-            [self._interests[i].audience_size for i in self._ids], dtype=np.int64
-        )
+    ids: np.ndarray
+    audiences: np.ndarray
+    topic_codes: np.ndarray
+    topics: tuple[str, ...]
+    names: tuple[str, ...] | None = None
+
+
+class InterestCatalog:
+    """An immutable, columnar collection of interests.
+
+    Stored as the arrays its consumers read (:class:`CatalogColumns`);
+    :class:`Interest` objects are built only where one is returned
+    (:meth:`get`, iteration, :meth:`rarest`, :meth:`most_popular`,
+    :meth:`by_topic`, :meth:`to_dicts`).  The audience order and the id
+    index are memoised on first use, sound because the catalog never
+    changes; stored arrays are read-only, array accessors return copies.
+    """
+
+    def __init__(self, columns: CatalogColumns) -> None:
+        """Adopt read-only ``int64`` copies of ``columns``.
+
+        Raises :class:`CatalogError` unless the columns are non-empty and
+        equally long, the ids unique, ascending and non-negative, the
+        audiences non-negative and every code inside a table of distinct
+        topics.
+        """
+        arrays = [np.asarray(column) for column in columns[:3]]
+        if not all(a.ndim == 1 and a.dtype.kind in "iu" for a in arrays):
+            raise CatalogError("catalog columns must be 1-D integer arrays")
+        ids, audiences, codes = arrays = [array.astype(np.int64) for array in arrays]
+        topics, names = columns.topics, tuple(columns.names or ()) or None
+        if not 0 < len(names or ids) == ids.size == audiences.size == codes.size:
+            raise CatalogError("catalog columns must be non-empty and equally long")
+        if ids[0] < 0 or (np.diff(ids) <= 0).any():
+            raise CatalogError("interest ids must be unique, ascending, non-negative")
+        if audiences.min() < 0:
+            raise CatalogError("audience_size must be non-negative")
+        if not isinstance(topics, (tuple, list)) or len(set(topics)) < len(topics):
+            raise CatalogError("the topic table must be a sequence of distinct topics")
+        if codes.min() < 0 or codes.max() >= len(topics):
+            raise CatalogError("topic codes must index the topic table")
+        for array in arrays:
+            array.flags.writeable = False
+        self._columns = CatalogColumns(ids, audiences, codes, tuple(topics), names)
+        self._ids, self._audiences = ids, audiences
         self._ranks: tuple[np.ndarray, np.ndarray] | None = None
         self._id_index: np.ndarray | None = None
-        self._by_audience: tuple[Interest, ...] | None = None
-        self._by_topic: dict[str, tuple[Interest, ...]] | None = None
 
     # -- construction -----------------------------------------------------
+
+    @staticmethod
+    def from_interests(interests: Iterable[Interest]) -> "InterestCatalog":
+        """Build a catalog from records; their names are kept as given."""
+        records = sorted(interests, key=lambda interest: interest.interest_id)
+        topics: dict[str, int] = {}
+        codes = [topics.setdefault(record.topic, len(topics)) for record in records]
+        return InterestCatalog(
+            CatalogColumns(
+                np.array([record.interest_id for record in records], dtype=np.int64),
+                np.array([record.audience_size for record in records], dtype=np.int64),
+                np.array(codes, dtype=np.int64),
+                tuple(topics),
+                tuple(record.name for record in records),
+            )
+        )
 
     @staticmethod
     def generate(
@@ -75,8 +116,11 @@ class InterestCatalog:
     ) -> "InterestCatalog":
         """Generate a synthetic catalog according to ``config``.
 
-        ``world_population`` caps the largest audiences; by default it
-        matches the 1.5B-user base of the paper's Appendix A country set.
+        Interest ``i`` gets id ``i``, the ``i``-th sampled audience and
+        topic ``i % n_topics``, round-robin over the first ``n_topics``
+        taxonomy topics.  ``world_population`` caps the largest audiences;
+        by default it matches the 1.5B-user base of the paper's Appendix A
+        country set.
         """
         config = config or CatalogConfig()
         base_seed = config.seed if seed is None else seed
@@ -86,38 +130,58 @@ class InterestCatalog:
             else derive_generator(int(base_seed), "catalog")
         )
         popularity = PopularityModel.from_config(config, world_population)
-        audiences = popularity.sample(config.n_interests, rng)
-        interests = []
-        for index, audience in enumerate(audiences):
-            topic = topic_for_index(index, config.n_topics)
-            interests.append(
-                Interest(
-                    interest_id=index,
-                    name=interest_name(index, topic),
-                    topic=topic,
-                    audience_size=int(audience),
-                )
+        ids = np.arange(config.n_interests, dtype=np.int64)
+        return InterestCatalog(
+            CatalogColumns(
+                ids,
+                popularity.sample(config.n_interests, rng),
+                ids % config.n_topics,
+                TOPICS[: config.n_topics],
             )
-        return InterestCatalog(interests)
+        )
+
+    def to_columns(self) -> CatalogColumns:
+        """The catalog's own read-only arrays (see :class:`CatalogColumns`)."""
+        return self._columns
 
     # -- basic container protocol -----------------------------------------
 
     def __len__(self) -> int:
-        return len(self._interests)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[Interest]:
-        for interest_id in self._ids:
-            yield self._interests[int(interest_id)]
+        """Every interest in id order, each built on demand."""
+        return iter(self._interests_at(np.arange(len(self._ids))))
 
     def __contains__(self, interest_id: object) -> bool:
-        return interest_id in self._interests
+        try:
+            self._position(interest_id)
+        except UnknownInterestError:
+            return False
+        return True
+
+    def _position(self, interest_id: object) -> int:
+        """Position of an integer id; :class:`UnknownInterestError` otherwise."""
+        if isinstance(interest_id, (int, np.integer)) and type(interest_id) is not bool:
+            try:
+                return int(self.positions(interest_id))
+            except OverflowError:  # beyond int64: never a catalog id
+                pass
+        raise UnknownInterestError(interest_id)
+
+    def _interests_at(self, positions: Sequence[int]) -> tuple[Interest, ...]:
+        """The interests at ``positions``, built on demand."""
+        ids, audiences, codes, topics, names = self._columns
+        at = np.asarray(positions, dtype=np.intp)
+        rows = zip(at.tolist(), ids[at].tolist(), codes[at].tolist(), audiences[at].tolist())
+        return tuple(
+            Interest(i, names[p] if names else interest_name(i, topics[c]), topics[c], a)
+            for p, i, c, a in rows
+        )
 
     def get(self, interest_id: int) -> Interest:
-        """Return the interest with ``interest_id`` or raise."""
-        try:
-            return self._interests[interest_id]
-        except KeyError:
-            raise UnknownInterestError(interest_id) from None
+        """Build the interest with ``interest_id``; unknown and non-int ids raise."""
+        return self._interests_at([self._position(interest_id)])[0]
 
     @property
     def interest_ids(self) -> np.ndarray:
@@ -155,7 +219,7 @@ class InterestCatalog:
 
     def audience_size(self, interest_id: int) -> int:
         """Worldwide audience size of a single interest."""
-        return self.get(interest_id).audience_size
+        return int(self._audiences[self._position(interest_id)])
 
     def audience_sizes(self, interest_ids: Sequence[int]) -> np.ndarray:
         """Vector of audience sizes for a sequence of interest ids.
@@ -174,23 +238,18 @@ class InterestCatalog:
 
     # -- topic and sampling helpers -----------------------------------------
 
-    def _topic_index(self) -> dict[str, tuple[Interest, ...]]:
-        """Topic -> interests in id order (built in one pass, memoised)."""
-        if self._by_topic is None:
-            groups: dict[str, list[Interest]] = {}
-            for interest in self:
-                groups.setdefault(interest.topic, []).append(interest)
-            self._by_topic = {topic: tuple(group) for topic, group in groups.items()}
-        return self._by_topic
-
     def topics(self) -> tuple[str, ...]:
-        """Topics present in the catalog, in taxonomy order."""
-        present = self._topic_index()
+        """Taxonomy topics holding at least one interest, in taxonomy order."""
+        _, _, codes, table, _ = self._columns
+        present = {table[code] for code in np.unique(codes).tolist()}
         return tuple(topic for topic in TOPICS if topic in present)
 
     def by_topic(self, topic: str) -> tuple[Interest, ...]:
-        """All interests belonging to ``topic``, in id order."""
-        return self._topic_index().get(topic, ())
+        """All interests belonging to ``topic``, in id order (none for other labels)."""
+        _, _, codes, table, _ = self._columns
+        if topic not in table:
+            return ()
+        return self._interests_at(np.flatnonzero(codes == table.index(topic)))
 
     def audience_ranks(self) -> tuple[np.ndarray, np.ndarray]:
         """``(ranks, ids_by_rank)`` of the ascending-audience order (memoised).
@@ -210,19 +269,11 @@ class InterestCatalog:
             self._ranks = (ranks, ids_by_rank)
         return self._ranks
 
-    def _audience_order(self) -> tuple[Interest, ...]:
-        """Interests by ascending audience, ties in id order (memoised)."""
-        if self._by_audience is None:
-            self._by_audience = tuple(
-                self._interests[int(i)] for i in self.audience_ranks()[1]
-            )
-        return self._by_audience
-
     def rarest(self, n: int) -> tuple[Interest, ...]:
         """The ``n`` interests with the smallest audiences."""
         if n < 0:
             raise CatalogError("n must be non-negative")
-        return self._audience_order()[:n]
+        return self._interests_at(self.positions(self.audience_ranks()[1][:n]))
 
     def most_popular(self, n: int) -> tuple[Interest, ...]:
         """The ``n`` interests with the largest audiences.
@@ -232,8 +283,8 @@ class InterestCatalog:
         """
         if n < 0:
             raise CatalogError("n must be non-negative")
-        ordered = self._audience_order()
-        return ordered[len(ordered) - min(n, len(ordered)) :][::-1]
+        ids = self.audience_ranks()[1]
+        return self._interests_at(self.positions(ids[len(ids) - min(n, len(ids)) :][::-1]))
 
     def sample_ids(
         self,
@@ -268,4 +319,4 @@ class InterestCatalog:
     @staticmethod
     def from_dicts(records: Iterable[dict]) -> "InterestCatalog":
         """Rebuild a catalog from :meth:`to_dicts` output."""
-        return InterestCatalog(Interest.from_dict(record) for record in records)
+        return InterestCatalog.from_interests(map(Interest.from_dict, records))

@@ -47,10 +47,6 @@ class Interest:
         if not self.topic:
             raise CatalogError("interest topic must not be empty")
 
-    def is_rarer_than(self, other: "Interest") -> bool:
-        """Return True if this interest has a strictly smaller audience."""
-        return self.audience_size < other.audience_size
-
     def to_dict(self) -> dict:
         """Serialise the interest to a plain dictionary."""
         return {
@@ -70,5 +66,5 @@ class Interest:
                 topic=str(data["topic"]),
                 audience_size=int(data["audience_size"]),
             )
-        except KeyError as exc:  # pragma: no cover - defensive
+        except KeyError as exc:
             raise CatalogError(f"missing interest field: {exc}") from exc

@@ -66,9 +66,3 @@ def interest_name(index: int, topic: str) -> str:
     stem = _LEAF_STEMS[index % len(_LEAF_STEMS)]
     return f"{topic} {stem} #{index}"
 
-
-def validate_topic(topic: str) -> str:
-    """Return ``topic`` if it belongs to the taxonomy, raise otherwise."""
-    if topic not in TOPICS:
-        raise CatalogError(f"unknown topic: {topic!r}")
-    return topic

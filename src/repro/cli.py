@@ -909,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="override the spec's scale divisor",
         )
         sub.add_argument(
-            "--seed", type=int, default=None, help="override the spec's seed"
+            "--seed", type=_non_negative_int, default=None, help="override the spec's seed"
         )
         add_exec(sub)
         sub.add_argument("--output", default=None, help="write the results as JSON")
@@ -1091,7 +1091,9 @@ def build_parser() -> argparse.ArgumentParser:
         "faults",
         help="describe a deterministic fault plan and preview what would fire",
     )
-    faults.add_argument("--seed", type=int, default=None, help="fault-plan seed")
+    faults.add_argument(
+        "--seed", type=_non_negative_int, default=None, help="fault-plan seed"
+    )
     faults.add_argument("--transient-rate", type=float, default=0.1)
     faults.add_argument("--error-rate", type=float, default=0.05)
     faults.add_argument("--slow-rate", type=float, default=0.05)
@@ -1184,7 +1186,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--factor", type=_positive_int, default=None, help="scale divisor (default 20)"
     )
     cache_warm.add_argument(
-        "--seed", type=int, default=None, help="seed of the warmed stages"
+        "--seed", type=_non_negative_int, default=None, help="seed of the warmed stages"
     )
     cache_warm.add_argument(
         "--sweep-seed",

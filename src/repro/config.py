@@ -85,8 +85,10 @@ class CatalogConfig(FingerprintedConfig):
     def __post_init__(self) -> None:
         if self.n_interests <= 0:
             raise ConfigurationError("n_interests must be positive")
-        if self.n_topics <= 0:
-            raise ConfigurationError("n_topics must be positive")
+        from .catalog.taxonomy import TOPICS  # the catalog package imports config
+
+        if not 1 <= self.n_topics <= len(TOPICS):
+            raise ConfigurationError(f"n_topics must be in [1, {len(TOPICS)}]")
         if self.median_audience <= self.min_audience:
             raise ConfigurationError("median_audience must exceed min_audience")
         if not 0.0 <= self.rare_tail_fraction < 1.0:

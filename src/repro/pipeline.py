@@ -53,7 +53,7 @@ from .core import (
 from .delivery import ClickLog, DeliveryEngine
 from .exec import ShardExecutor
 from .fdvt import FDVTExtension, FDVTPanel, PanelBuilder
-from .io.artifacts import CATALOG_CODEC, PanelArtifactCodec
+from .io.artifacts import PanelArtifactCodec, cached_catalog
 from .population import AssignerSpec, InterestAssigner
 from .reach import ReachModelSpec, StatisticalReachModel, country_codes
 from .simclock import SimClock
@@ -189,22 +189,12 @@ def build_catalog(
     ``seed`` is the *top-level* simulation seed, resolved to the catalog
     stage seed exactly like :func:`build_simulation` does.  With a
     ``cache``, the catalog is keyed by :func:`catalog_fingerprint` and
-    shared with every other build of the same stage — including the reach
-    model rebuilds of process-pool shard workers, which use the same key
-    (:meth:`repro.reach.ReachModelSpec.build`).  A cache with a disk tier
-    hydrates the catalog from (and publishes it to) its root, so cold
-    processes load instead of regenerating; loaded catalogs are
+    shared with every other build of the stage (see
+    :func:`repro.io.artifacts.cached_catalog`); loaded catalogs are
     bit-identical to generated ones.
     """
-    stage_seed = _catalog_seed(config, seed)
-
-    def generate() -> InterestCatalog:
-        return InterestCatalog.generate(config.catalog, seed=stage_seed)
-
-    if cache is None:
-        return generate()
-    return cache.get_or_build(
-        catalog_fingerprint(config, seed), generate, codec=CATALOG_CODEC
+    return cached_catalog(
+        config.catalog, _catalog_seed(config, seed), DEFAULT_WORLD_POPULATION, cache
     )
 
 

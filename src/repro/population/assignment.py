@@ -111,30 +111,24 @@ class InterestAssigner:
         self._default_bias = float(default_popularity_bias)
         self._topics = catalog.topics()
         self._topic_index = {topic: idx for idx, topic in enumerate(self._topics)}
-        self._topic_ids: list[np.ndarray] = []
-        self._topic_audiences: list[np.ndarray] = []
-        for topic in self._topics:
-            interests = catalog.by_topic(topic)
-            self._topic_ids.append(
-                np.array([interest.interest_id for interest in interests], dtype=np.int64)
-            )
-            self._topic_audiences.append(
-                np.array([interest.audience_size for interest in interests], dtype=float)
-            )
-        # Dense position space for the batched kernel: topics partition the
-        # catalog, so concatenating the per-topic id arrays gives every
-        # interest exactly one flat position (offset of its topic + local
-        # index), and dedup can run on a boolean mask instead of a set.
-        self._topic_sizes = np.array(
-            [ids.size for ids in self._topic_ids], dtype=np.int64
-        )
-        self._topic_offsets = np.zeros(len(self._topics) + 1, dtype=np.int64)
-        np.cumsum(self._topic_sizes, out=self._topic_offsets[1:])
-        self._flat_topic_ids = (
-            np.concatenate(self._topic_ids)
-            if self._topic_ids
-            else np.zeros(0, dtype=np.int64)
-        )
+        # Dense position space for the batched kernel: one stable sort of the
+        # interests by their topic's taxonomy rank lays the topics out back
+        # to back, each in id order, so every interest has exactly one flat
+        # position (offset of its topic + local index) and dedup can run on
+        # a boolean mask instead of a set.  Topics outside the taxonomy rank
+        # last and are dropped.
+        columns = catalog.to_columns()
+        n_topics = len(self._topics)
+        code_ranks = [self._topic_index.get(topic, n_topics) for topic in columns.topics]
+        ranks = np.array(code_ranks, dtype=np.int64)[columns.topic_codes]
+        self._topic_sizes = np.bincount(ranks, minlength=n_topics + 1)[:n_topics]
+        self._topic_offsets = np.concatenate(([0], np.cumsum(self._topic_sizes)))
+        flat = np.argsort(ranks, kind="stable")[: self._topic_offsets[-1]]
+        self._flat_topic_ids = columns.ids[flat]
+        flat_audiences = columns.audiences[flat].astype(float)
+        bounds = list(zip(self._topic_offsets[:-1], self._topic_offsets[1:]))
+        self._topic_ids = [self._flat_topic_ids[a:b] for a, b in bounds]
+        self._topic_audiences = [flat_audiences[a:b] for a, b in bounds]
         self._bias_cache: OrderedDict[float, _BiasTables] = OrderedDict()
         self._selection_cache: OrderedDict[
             tuple[tuple[int, ...], float], tuple[np.ndarray, np.ndarray]

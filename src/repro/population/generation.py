@@ -107,48 +107,28 @@ class AssignerSpec:
         return stable_fingerprint(
             "spec:assigner",
             {
-                "catalog": self._catalog_key(),
+                "catalog": catalog_stage_key(
+                    self.catalog_config, self.catalog_seed, self._catalog_world()
+                ),
                 "topic_affinity_boost": float(self.topic_affinity_boost),
                 "default_popularity_bias": float(self.default_popularity_bias),
             },
         )
 
-    def _catalog_key(self) -> str:
+    def _catalog_world(self) -> float:
         from ..catalog import DEFAULT_WORLD_POPULATION
 
-        world = (
-            DEFAULT_WORLD_POPULATION
-            if self.world_population is None
-            else self.world_population
-        )
-        return catalog_stage_key(self.catalog_config, self.catalog_seed, world)
+        if self.world_population is None:
+            return DEFAULT_WORLD_POPULATION
+        return self.world_population
 
     def build(self, cache: BuildCache | None = None) -> Any:
-        """Rebuild the assigner, sharing the catalog via ``cache``.
-
-        A cache with a disk tier hydrates the catalog from its root
-        (same key and codec as :func:`repro.pipeline.build_catalog`), so
-        cold process-pool generation workers load instead of regenerate.
-        """
-        from ..catalog import DEFAULT_WORLD_POPULATION, InterestCatalog
-        from ..io.artifacts import CATALOG_CODEC
+        """Rebuild the assigner on the catalog stage ``cache`` shares."""
+        from ..io.artifacts import cached_catalog
         from .assignment import InterestAssigner
 
-        world = (
-            DEFAULT_WORLD_POPULATION
-            if self.world_population is None
-            else self.world_population
-        )
-
-        def generate() -> InterestCatalog:
-            return InterestCatalog.generate(
-                self.catalog_config, world_population=world, seed=self.catalog_seed
-            )
-
-        catalog = (
-            generate()
-            if cache is None
-            else cache.get_or_build(self._catalog_key(), generate, codec=CATALOG_CODEC)
+        catalog = cached_catalog(
+            self.catalog_config, self.catalog_seed, self._catalog_world(), cache
         )
         return InterestAssigner(
             catalog,

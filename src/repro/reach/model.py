@@ -63,7 +63,7 @@ from typing import Sequence
 import numpy as np
 
 from .._rng import stable_hash
-from ..cache import BuildCache, catalog_stage_key, stable_fingerprint
+from ..cache import BuildCache, stable_fingerprint
 from ..catalog import DEFAULT_WORLD_POPULATION, InterestCatalog
 from ..config import CatalogConfig, ReachModelConfig
 from ..errors import ConfigurationError
@@ -121,34 +121,18 @@ class ReachModelSpec:
     def build(self, *, cache: "BuildCache | None" = None) -> "StatisticalReachModel":
         """Rebuild the model this spec describes.
 
-        With a :class:`~repro.cache.BuildCache`, the catalog generation —
-        the expensive part — is keyed by the same catalog-stage
-        fingerprint :func:`repro.pipeline.build_catalog` uses, so a
-        worker that already compiled a sweep simulation reuses its
-        catalog here (and vice versa) — and a cache with a disk tier lets
-        a cold process worker *load* the catalog from the shared root
-        instead of regenerating it.  The model shell itself is always
-        fresh: its memo caches are per-instance run state.
+        The catalog comes through ``cache`` under the pipeline's catalog
+        stage key (:func:`repro.io.artifacts.cached_catalog`).  The model
+        shell itself is always fresh: its memo caches are per-instance run
+        state.
         """
+        # Local import: repro.io reaches this module through the fdvt → exec
+        # chain, so a module-level import would cycle.
+        from ..io.artifacts import cached_catalog
 
-        def generate() -> InterestCatalog:
-            return InterestCatalog.generate(
-                self.catalog_config,
-                world_population=self.catalog_world_population,
-                seed=self.catalog_seed,
-            )
-
-        if cache is None:
-            catalog = generate()
-        else:
-            # Local import: repro.io reaches this module through the fdvt
-            # → exec chain, so a module-level import would cycle.
-            from ..io.artifacts import CATALOG_CODEC
-
-            key = catalog_stage_key(
-                self.catalog_config, self.catalog_seed, self.catalog_world_population
-            )
-            catalog = cache.get_or_build(key, generate, codec=CATALOG_CODEC)
+        catalog = cached_catalog(
+            self.catalog_config, self.catalog_seed, self.catalog_world_population, cache
+        )
         return StatisticalReachModel(
             catalog,
             self.reach_config,
@@ -180,11 +164,13 @@ class StatisticalReachModel(ReachBackend):
         self._jitter_key = jitter_key(
             stable_hash(self._config.seed, "reach-jitter")
         )
-        # Position-indexed catalog arrays, built lazily on first use.
-        self._first_id = 0
-        self._marginal_array: np.ndarray | None = None
-        self._topic_codes: np.ndarray | None = None
-        self._n_topic_codes: int = 0
+        # Position-indexed catalog arrays.  The kernel only compares topic
+        # codes, so the catalog's own codes serve as they are.
+        columns = catalog.to_columns()
+        self._first_id = int(columns.ids[0])
+        self._marginal_array = np.minimum(1.0, columns.audiences / self._world)
+        self._topic_codes = columns.topic_codes
+        self._n_topic_codes = len(columns.topics)
         # Bounded memo caches for repeated scalar queries (marginal lookups
         # and OR-combination jitters).
         self._marginal_cache: dict[int, float] = {}
@@ -225,7 +211,7 @@ class StatisticalReachModel(ReachBackend):
         key = int(interest_id)
         cached = self._marginal_cache.get(key)
         if cached is None:
-            position = self._positions(np.asarray([key], dtype=np.int64))[0]
+            position = self._catalog.positions(key)
             cached = float(self._marginal_array[position])
             if len(self._marginal_cache) >= _SCALAR_CACHE_SIZE:
                 self._marginal_cache.pop(next(iter(self._marginal_cache)))
@@ -259,7 +245,7 @@ class StatisticalReachModel(ReachBackend):
         ids = np.asarray([int(i) for i in ordered_ids], dtype=np.int64)
         if ids.size == 0:
             return np.empty(0, dtype=float)
-        positions = self._positions(ids)
+        positions = self._catalog.positions(ids)
         probs = self._marginal_array[positions]
         topics = self._topic_codes[positions]
         return self._prefix_probabilities_panel(probs[None, :], topics[None, :])[0]
@@ -269,7 +255,7 @@ class StatisticalReachModel(ReachBackend):
         ids = np.asarray([int(i) for i in interest_ids], dtype=np.int64)
         if ids.size == 0:
             return 0.0
-        positions = self._positions(ids)
+        positions = self._catalog.positions(ids)
         probs = self._marginal_array[positions]
         # cumprod keeps the reduction order identical for any padded batch
         # evaluation of the same combination.
@@ -338,7 +324,6 @@ class StatisticalReachModel(ReachBackend):
             return result
         base = self.world_size(locations)
         valid = np.arange(width)[None, :] < counts[:, None]
-        self._ensure_catalog_arrays()
         # Padding cells are pointed at a real catalog entry so the gathers
         # stay in bounds; their values are garbage and masked out at the end
         # (every kernel stage is prefix-local, so right-hand padding can
@@ -359,31 +344,6 @@ class StatisticalReachModel(ReachBackend):
         return result
 
     # -- internals ------------------------------------------------------------
-
-    def _ensure_catalog_arrays(self) -> None:
-        if self._topic_codes is not None:
-            return
-        audiences = self._catalog.all_audience_sizes().astype(float)
-        marginal_array = np.minimum(1.0, audiences / self._world)
-        codes: dict[str, int] = {}
-        topic_codes = np.empty(len(self._catalog), dtype=np.int64)
-        # Catalog iteration yields interests in ascending id order, matching
-        # the catalog's positions.
-        for index, interest in enumerate(self._catalog):
-            topic_codes[index] = codes.setdefault(interest.topic, len(codes))
-        # Publish the guard attribute (_topic_codes) last: concurrent shard
-        # kernels on a thread runner may race into this builder, and under
-        # the GIL the worst case must be a redundant rebuild of identical
-        # arrays, never a half-initialised view.
-        self._first_id = int(self._catalog.interest_ids[0])
-        self._marginal_array = marginal_array
-        self._n_topic_codes = len(codes)
-        self._topic_codes = topic_codes
-
-    def _positions(self, ids: np.ndarray) -> np.ndarray:
-        """Positions of ``ids`` in the id-indexed catalog arrays."""
-        self._ensure_catalog_arrays()
-        return self._catalog.positions(ids)
 
     def _prefix_probabilities_panel(
         self, probs: np.ndarray, topics: np.ndarray

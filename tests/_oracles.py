@@ -20,7 +20,11 @@ replaced, kept here so the parity tests can compare against them:
   every column of every replicate gathered and sorted, with no stop at the
   fit's floor (``RankTable.resample_vas`` walks only what a fit reads);
 * :func:`stop_rows` — a full-width VAS block cut the way the fit cuts it,
-  row by row through the scalar ``truncate_at_floor``.
+  row by row through the scalar ``truncate_at_floor``;
+* :class:`DictCatalog` — the catalog as a dict of :class:`Interest`
+  objects with per-call scans, the object store the columnar
+  :class:`InterestCatalog` replaced, and :func:`generate_dict_catalog`,
+  the per-interest generation loop that filled it.
 
 Importable from any test module (``from _oracles import ...``), like
 ``tests/_builders.py``.
@@ -34,11 +38,20 @@ import numpy as np
 
 from repro._rng import derive_generator
 from repro.adsapi import AdsManagerAPI, TargetingSpec
-from repro.catalog import InterestCatalog
+from repro.catalog import (
+    DEFAULT_WORLD_POPULATION,
+    TOPICS,
+    Interest,
+    InterestCatalog,
+    PopularityModel,
+    interest_name,
+    topic_for_index,
+)
+from repro.config import CatalogConfig
 from repro.core import LeastPopularSelection, RandomSelection
 from repro.core import truncate_at_floor
 from repro.core.quantiles import AudienceSamples, RankTable
-from repro.errors import ModelError, PanelError
+from repro.errors import CatalogError, ModelError, PanelError, UnknownInterestError
 from repro.fdvt import DEFAULT_THRESHOLDS, InterestRiskEntry, RiskReport, RiskThresholds
 from repro.population import SyntheticUser
 from repro.reach import StatisticalReachModel, country_codes
@@ -133,7 +146,7 @@ def prefix_audiences(
     ids = np.asarray([int(i) for i in ordered_ids], dtype=np.int64)
     if ids.size == 0:
         return np.empty(0, dtype=float)
-    positions = model._positions(ids)
+    positions = model.catalog.positions(ids)
     probs = model._marginal_array[positions]
     topics = model._topic_codes[positions]
     config = model.config
@@ -308,3 +321,76 @@ def stop_rows(vas_block: np.ndarray, floor: int) -> np.ndarray:
         kept = truncate_at_floor(block[index], floor)
         out[index][: kept.size] = kept
     return out
+
+
+# -- the object-store catalog ------------------------------------------------------
+
+
+class DictCatalog:
+    """A catalog kept as ``{id: Interest}``; every lookup scans or sorts anew."""
+
+    def __init__(self, interests: Iterable[Interest]) -> None:
+        self.interests: dict[int, Interest] = {}
+        for interest in interests:
+            if interest.interest_id in self.interests:
+                raise CatalogError(f"duplicate interest id: {interest.interest_id}")
+            self.interests[interest.interest_id] = interest
+
+    def __iter__(self):
+        return iter([self.interests[i] for i in sorted(self.interests)])
+
+    def __contains__(self, key: object) -> bool:
+        is_int = isinstance(key, (int, np.integer)) and not isinstance(key, bool)
+        return is_int and int(key) in self.interests
+
+    def get(self, interest_id: object) -> Interest:
+        if interest_id not in self:
+            raise UnknownInterestError(interest_id)
+        return self.interests[int(interest_id)]
+
+    def rarest(self, n: int) -> tuple[Interest, ...]:
+        ordered = sorted(self, key=lambda i: (i.audience_size, i.interest_id))
+        return tuple(ordered[:n])
+
+    def most_popular(self, n: int) -> tuple[Interest, ...]:
+        return tuple(reversed(self.rarest(len(self.interests))))[:n]
+
+    def by_topic(self, topic: str) -> tuple[Interest, ...]:
+        return tuple(interest for interest in self if interest.topic == topic)
+
+    def topics(self) -> tuple[str, ...]:
+        present = {interest.topic for interest in self}
+        return tuple(topic for topic in TOPICS if topic in present)
+
+    def positions(self, ids: Sequence[int]) -> list[int]:
+        ordered = sorted(self.interests)
+        return [ordered.index(int(i)) for i in ids]
+
+    def audience_sizes(self, ids: Sequence[int]) -> list[int]:
+        return [self.get(int(i)).audience_size for i in ids]
+
+    def to_dicts(self) -> list[dict]:
+        return [interest.to_dict() for interest in self]
+
+    def assigner_topic_tables(self) -> tuple[tuple[str, ...], list, list]:
+        """``(topics, ids, audiences)`` per taxonomy topic, each in id order."""
+        topics = self.topics()
+        ids = [[i.interest_id for i in self.by_topic(t)] for t in topics]
+        audiences = [[float(i.audience_size) for i in self.by_topic(t)] for t in topics]
+        return topics, ids, audiences
+
+    def same_topic(self) -> np.ndarray:
+        """``[a, b]`` is True when the a-th and b-th interests share a topic."""
+        topics = np.array([interest.topic for interest in self], dtype=object)
+        return topics[:, None] == topics[None, :]
+
+
+def generate_dict_catalog(config: CatalogConfig, seed: int) -> DictCatalog:
+    """One ``Interest`` per sampled audience, topic and name per index."""
+    popularity = PopularityModel.from_config(config, DEFAULT_WORLD_POPULATION)
+    audiences = popularity.sample(config.n_interests, derive_generator(seed, "catalog"))
+    interests = []
+    for index, audience in enumerate(audiences):
+        topic = topic_for_index(index, config.n_topics)
+        interests.append(Interest(index, interest_name(index, topic), topic, int(audience)))
+    return DictCatalog(interests)

@@ -12,10 +12,11 @@ from repro.catalog import (
     TOPICS,
     interest_name,
     topic_for_index,
-    validate_topic,
 )
 from repro.config import CatalogConfig
 from repro.errors import CatalogError, ConfigurationError, UnknownInterestError
+from repro.population import InterestAssigner
+from repro.reach import StatisticalReachModel
 
 
 class TestInterest:
@@ -36,12 +37,6 @@ class TestInterest:
             Interest(1, "", "Food and drink", 10)
         with pytest.raises(CatalogError):
             Interest(1, "x", "", 10)
-
-    def test_rarer_comparison(self):
-        rare = Interest(1, "a", "People", 50)
-        popular = Interest(2, "b", "People", 5_000)
-        assert rare.is_rarer_than(popular)
-        assert not popular.is_rarer_than(rare)
 
     def test_round_trip_serialisation(self):
         interest = Interest(7, "Vintage cameras", "Hobbies and activities", 12_345)
@@ -65,11 +60,6 @@ class TestTaxonomy:
 
     def test_interest_name_is_deterministic(self):
         assert interest_name(3, "Music") == interest_name(3, "Music")
-
-    def test_validate_topic(self):
-        assert validate_topic("Music") == "Music"
-        with pytest.raises(CatalogError):
-            validate_topic("Not a topic")
 
 
 class TestPopularityModel:
@@ -176,11 +166,11 @@ class TestInterestCatalog:
     def test_duplicate_ids_rejected(self):
         interest = Interest(1, "a", "Music", 10)
         with pytest.raises(CatalogError):
-            InterestCatalog([interest, interest])
+            InterestCatalog.from_interests([interest, interest])
 
     def test_empty_catalog_rejected(self):
         with pytest.raises(CatalogError):
-            InterestCatalog([])
+            InterestCatalog.from_interests([])
 
     def test_round_trip_serialisation(self, tiny_catalog):
         rebuilt = InterestCatalog.from_dicts(tiny_catalog.to_dicts())
@@ -243,7 +233,7 @@ class TestCatalogLookupParity:
             for index, interest in enumerate(generated)
         ]
         rng.shuffle(interests)
-        return InterestCatalog(interests)
+        return InterestCatalog.from_interests(interests)
 
     def test_catalog_is_tie_heavy(self, tied_catalog):
         audiences = tied_catalog.all_audience_sizes()
@@ -342,7 +332,7 @@ def _strided_catalog(stride: int) -> InterestCatalog:
         for i in generated
     ]
     np.random.default_rng(2).shuffle(interests)
-    return InterestCatalog(interests)
+    return InterestCatalog.from_interests(interests)
 
 
 class TestPositions:
@@ -373,6 +363,29 @@ class TestPositions:
         with pytest.raises(UnknownInterestError) as caught:
             catalog.positions(ids)
         assert caught.value.interest_id == unknown
+
+
+class TestObjectsOnlyAtTheEdges:
+    """Building the catalog, the assigner and a first reach answer makes no
+    :class:`Interest`; only the accessors that return one build it."""
+
+    def test_hot_path_constructs_no_interest(self, monkeypatch):
+        built = []
+        original = Interest.__post_init__
+
+        def counting(interest):
+            built.append(interest.interest_id)
+            original(interest)
+
+        monkeypatch.setattr(Interest, "__post_init__", counting)
+        catalog = InterestCatalog.generate(CatalogConfig())
+        InterestAssigner(catalog)
+        model = StatisticalReachModel(catalog)
+        assert model.audience_for([5, 17, 2_000]) > 0
+        assert model.prefix_audiences_panel(np.array([[3, 9]]), [2]).shape == (1, 2)
+        assert built == []
+        catalog.most_popular(3)
+        assert len(built) == 3
 
 
 class TestFullScaleCatalogCalibration:

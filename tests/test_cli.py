@@ -91,6 +91,22 @@ class TestSeedAndProbabilityValidation:
         assert excinfo.value.code == 2
         assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["faults"],
+            ["cache", "warm", "--factor", "80"],
+            ["scenario", "run", "uniqueness-table1", "--factor", "80"],
+            ["scenario", "sweep", "uniqueness-table1", "--factor", "80"],
+        ],
+        ids=["faults", "cache-warm", "scenario-run", "scenario-sweep"],
+    )
+    def test_negative_seed_exits_2_outside_the_shared_options(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--seed", "-1"])
+        assert excinfo.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["1.5", "0", "1", "-0.2", "nan", "half"])
     def test_probability_outside_the_open_unit_interval_exits_2(
         self, capsys, monkeypatch, value

@@ -33,6 +33,13 @@ class TestCatalogConfig:
         with pytest.raises(ConfigurationError):
             CatalogConfig(median_audience=10.0, min_audience=20)
 
+    @pytest.mark.parametrize("n_topics", [0, 25, 30])
+    def test_rejects_n_topics_outside_the_taxonomy(self, n_topics):
+        # 30 used to build the 24-topic catalog under another fingerprint.
+        with pytest.raises(ConfigurationError, match="n_topics"):
+            CatalogConfig(n_topics=n_topics)
+        assert CatalogConfig(n_topics=24).n_topics == 24
+
     def test_rejects_bad_rare_tail_fraction(self):
         with pytest.raises(ConfigurationError):
             CatalogConfig(rare_tail_fraction=1.5)

@@ -2,10 +2,11 @@
 
 Pins the disk-tier contract of :mod:`repro.cache` / :mod:`repro.io.artifacts`:
 
-* **round-trips are exact** — catalog JSON and panel ``.npz`` artifacts
+* **round-trips are exact** — catalog and panel ``.npz`` artifacts
   decode dtype- and content-identical to what was encoded;
-* **integrity failures rebuild** — corrupted, truncated, wrong-version or
-  wrong-kind artifacts are misses: the builder runs, the bad file is
+* **integrity failures rebuild** — corrupted, truncated, wrong-version,
+  wrong-kind or invariant-breaking artifacts, and stale JSON catalogs
+  of the earlier format, are misses: the builder runs, the bad file is
   republished, and nothing corrupt ever reaches a caller;
 * **publication is atomic** — concurrent publishers of one key both
   succeed and readers never observe a partial artifact;
@@ -20,14 +21,17 @@ Pins the disk-tier contract of :mod:`repro.cache` / :mod:`repro.io.artifacts`:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
 import warnings
 
+import numpy as np
 import pytest
 
 from repro import build_simulation, quick_config
+from repro.catalog import Interest, InterestCatalog
 from repro.cache import (
     CACHE_ROOT_ENV,
     CACHE_SIZE_ENV,
@@ -45,6 +49,7 @@ from repro.io.artifacts import (
     ARTIFACT_FORMAT_VERSION,
     CATALOG_CODEC,
     PanelArtifactCodec,
+    _digest,
 )
 from repro.pipeline import (
     build_catalog,
@@ -69,6 +74,23 @@ def build_stages(cache: BuildCache):
     return catalog, panel
 
 
+def rewrite_catalog_npz(path, *, header=None, redigest=False, **arrays):
+    """Rewrite a catalog ``.npz`` with header fields and arrays replaced.
+
+    ``redigest`` recomputes the digest so only the catalog invariants
+    (not the digest) can reject the result.
+    """
+    with np.load(path, allow_pickle=False) as data:
+        document = json.loads(str(data["header"][()]))
+        contents = {name: data[name] for name in data.files if name != "header"}
+    contents.update(arrays)
+    document.update(header or {})
+    if redigest:
+        document["digest"] = _digest(document["topics"], contents)
+    with open(path, "wb") as handle:
+        np.savez(handle, header=np.array(json.dumps(document)), **contents)
+
+
 @pytest.fixture
 def warmed_disk(tmp_path):
     """A disk tier with the small config's catalog and panel published."""
@@ -89,10 +111,27 @@ def fresh_global_cache():
 class TestCodecRoundTrip:
     def test_catalog_round_trip_is_content_exact(self, tmp_path):
         catalog, _ = build_stages(BuildCache())
-        path = tmp_path / "artifact.catalog.json"
+        path = tmp_path / "artifact.catalog.npz"
         CATALOG_CODEC.encode(catalog, path)
         decoded = CATALOG_CODEC.decode(path)
         assert decoded.to_dicts() == catalog.to_dicts()
+        original, hydrated = catalog.to_columns(), decoded.to_columns()
+        for name in ("ids", "audiences", "topic_codes"):
+            assert getattr(hydrated, name).dtype == getattr(original, name).dtype
+            assert np.array_equal(getattr(hydrated, name), getattr(original, name))
+        assert hydrated.topics == original.topics
+        assert hydrated.names is None
+
+    def test_record_names_survive_the_round_trip(self, tmp_path):
+        catalog = InterestCatalog.from_interests(
+            [
+                Interest(9, "Vintage cameras", "Hobbies", 120),
+                Interest(2, "Jazz", "Music", 40),
+            ]
+        )
+        path = tmp_path / "artifact.catalog.npz"
+        CATALOG_CODEC.encode(catalog, path)
+        assert CATALOG_CODEC.decode(path).to_dicts() == catalog.to_dicts()
 
     def test_panel_round_trip_is_dtype_and_content_exact(self, tmp_path):
         catalog, panel = build_stages(BuildCache())
@@ -150,34 +189,102 @@ class TestIntegrity:
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         self._rebuilds_cleanly(warmed_disk)
 
+    def _catalog_path(self, disk: DiskCache) -> "Path":
+        return disk.path_for(catalog_fingerprint(small_config(), 17), CATALOG_CODEC)
+
     def test_wrong_version_rebuilds(self, warmed_disk):
-        path = warmed_disk.path_for(
-            catalog_fingerprint(small_config(), 17), CATALOG_CODEC
+        rewrite_catalog_npz(
+            self._catalog_path(warmed_disk),
+            header={"format_version": ARTIFACT_FORMAT_VERSION + 1},
         )
-        document = json.loads(path.read_text())
-        document["format_version"] = ARTIFACT_FORMAT_VERSION + 1
-        path.write_text(json.dumps(document))
         self._rebuilds_cleanly(warmed_disk)
 
     def test_tampered_payload_fails_the_digest(self, tmp_path):
         catalog, _ = build_stages(BuildCache())
-        path = tmp_path / "artifact.catalog.json"
+        path = tmp_path / "artifact.catalog.npz"
         CATALOG_CODEC.encode(catalog, path)
-        document = json.loads(path.read_text())
-        document["payload"]["interests"][0]["audience_size"] = 1
-        path.write_text(json.dumps(document))
+        audiences = catalog.all_audience_sizes()
+        audiences[0] = 1
+        rewrite_catalog_npz(path, audiences=audiences)
         with pytest.raises(ArtifactError, match="digest mismatch"):
             CATALOG_CODEC.decode(path)
 
     def test_wrong_kind_is_rejected(self, tmp_path):
         catalog, panel = build_stages(BuildCache())
-        path = tmp_path / "artifact.catalog.json"
+        path = tmp_path / "artifact.catalog.npz"
         CATALOG_CODEC.encode(catalog, path)
-        document = json.loads(path.read_text())
-        document["kind"] = "panel"
-        path.write_text(json.dumps(document))
+        rewrite_catalog_npz(path, header={"kind": "panel"})
         with pytest.raises(ArtifactError, match="kind mismatch"):
             CATALOG_CODEC.decode(path)
+
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            "short audiences",
+            "unsorted ids",
+            "duplicate ids",
+            "code past the table",
+            "negative code",
+            "negative audience",
+            "float ids",
+            "topic table not a list",
+            "bad digest",
+        ],
+    )
+    def test_invariant_breaking_catalog_rebuilds(self, warmed_disk, defect):
+        path = self._catalog_path(warmed_disk)
+        columns = CATALOG_CODEC.decode(path).to_columns()
+        ids, audiences, codes = (
+            np.array(array)
+            for array in (columns.ids, columns.audiences, columns.topic_codes)
+        )
+        edits = {
+            "short audiences": {"audiences": audiences[:-1]},
+            "unsorted ids": {"ids": ids[::-1]},
+            "duplicate ids": {"ids": np.concatenate(([ids[1]], ids[1:]))},
+            "code past the table": {
+                "topic_codes": np.where(codes == 0, len(columns.topics), codes)
+            },
+            "negative code": {"topic_codes": codes - 1},
+            "negative audience": {"audiences": -audiences},
+            "float ids": {"ids": ids.astype(float)},
+            "topic table not a list": {"header": {"topics": "Music"}},
+            "bad digest": {"header": {"digest": "0" * 64}},
+        }[defect]
+        rewrite_catalog_npz(path, redigest=defect != "bad digest", **edits)
+        with pytest.raises(ArtifactError):
+            CATALOG_CODEC.decode(path)
+        self._rebuilds_cleanly(warmed_disk)
+        CATALOG_CODEC.decode(path)
+
+    def _write_stale_json_catalog(self, path: "Path") -> None:
+        """The JSON document the earlier catalog codec wrote."""
+        catalog, _ = build_stages(BuildCache())
+        payload = {"interests": catalog.to_dicts()}
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        document = {
+            "format_version": ARTIFACT_FORMAT_VERSION,
+            "kind": "catalog",
+            "digest": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+            "payload": payload,
+        }
+        path.write_text(json.dumps(document, sort_keys=True, separators=(",", ":")))
+
+    def test_stale_json_catalog_is_a_miss(self, warmed_disk):
+        path = self._catalog_path(warmed_disk)
+        stale = path.with_name(path.name.replace(".catalog.npz", ".catalog.json"))
+        self._write_stale_json_catalog(stale)
+        path.unlink()
+        cache = BuildCache(disk=warmed_disk)
+        catalog, _ = build_stages(cache)
+        info = cache.cache_info()
+        assert (info.misses, info.disk_hits, info.disk_load_errors) == (1, 1, 0)
+        assert catalog.to_dicts() == build_stages(BuildCache())[0].to_dicts()
+        CATALOG_CODEC.decode(path)
+
+    def test_json_bytes_under_the_npz_name_rebuild(self, warmed_disk):
+        self._write_stale_json_catalog(self._catalog_path(warmed_disk))
+        self._rebuilds_cleanly(warmed_disk)
 
     def test_absent_artifact_is_a_miss_not_an_error(self, tmp_path):
         cache = BuildCache(disk=DiskCache(tmp_path / "cache"))

@@ -10,7 +10,7 @@ from repro import build_simulation, quick_config
 from repro.adsapi import AdsManagerAPI
 from repro.config import PlatformConfig, UniquenessConfig
 from repro.core import LeastPopularSelection, UniquenessModel
-from repro.errors import ReproError
+from repro.errors import CatalogError, ReproError
 from repro.io import (
     experiment_report_to_dict,
     load_catalog,
@@ -39,6 +39,28 @@ class TestCatalogSerialisation:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"not_interests": []}))
         with pytest.raises(ReproError):
+            load_catalog(path)
+
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ([{"audience_size": None}], "missing interest field"),
+            ([{"audience_size": -4}], "audience_size must be non-negative"),
+            ([{"audience_size": 40}, {"name": "Soul"}], "must be unique"),
+        ],
+        ids=["missing-field", "negative-audience", "duplicate-id"],
+    )
+    def test_invalid_records_raise_a_catalog_error(self, tmp_path, records, message):
+        """Each record edits a valid one; a ``None`` value drops the field."""
+        base = {"interest_id": 1, "name": "Jazz", "topic": "Music", "audience_size": 40}
+        records = [
+            {k: v for k, v in {**base, **edit}.items() if v is not None}
+            for edit in records
+        ]
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps({"interests": records}))
+        with pytest.raises(CatalogError, match=message):
             load_catalog(path)
 
 
